@@ -22,6 +22,7 @@ from .dilation import (
     DilationError,
     IllConditionedPolarWarning,
     NDilation,
+    dilation_unitaries,
     hs_difference_schaffer,
     modified_dilation,
     n_dilation,
@@ -34,6 +35,7 @@ from .semispectral import (
     cdf_eval,
     moment_residual,
     semispectral_cdf,
+    semispectral_cdfs,
     spectral_cdf_unitary,
 )
 from .shift import (

@@ -215,6 +215,8 @@ def _verify_polynomial(
     cfg: QuadConfig,
     seed: int | None,
     unitary_endpoints: bool,
+    circle_tol: float,
+    realline_tol: float,
 ) -> VerificationReport:
     if not phi.analytic:
         raise ValueError("the transform bridge applies to analytic polynomials")
@@ -229,7 +231,7 @@ def _verify_polynomial(
     rhs_b = line.pairing_realline(mobius_polynomial_weight(phi))
     res_a = abs(lhs - rhs_a)
     res_ab = abs(rhs_a - rhs_b)
-    passed = res_a <= CIRCLE_TOL * (1.0 + abs(lhs)) and res_ab <= REAL_LINE_TOL * (
+    passed = res_a <= circle_tol * (1.0 + abs(lhs)) and res_ab <= realline_tol * (
         1.0 + abs(rhs_a)
     )
     return VerificationReport(
@@ -237,7 +239,7 @@ def _verify_polynomial(
         lhs=lhs,
         rhs=rhs_a,
         residual=res_a,
-        tol=CIRCLE_TOL,
+        tol=circle_tol,
         passed=passed,
         dim=dim,
         degree=phi.max_index,
@@ -246,7 +248,7 @@ def _verify_polynomial(
         extras={
             "rhs_realline": rhs_b,
             "residual_circle_vs_realline": res_ab,
-            "realline_tol": REAL_LINE_TOL,
+            "realline_tol": realline_tol,
             "zero_integral_grid": line.diagnostics["zero_integral_grid"],
         },
     )
@@ -258,13 +260,16 @@ def verify_selfadjoint_formula(
     grid: int = DEFAULT_QUAD.grid,
     cfg: QuadConfig = DEFAULT_QUAD,
     seed: int | None = None,
+    circle_tol: float = CIRCLE_TOL,
+    realline_tol: float = REAL_LINE_TOL,
 ) -> VerificationReport:
     """Verify the self-adjoint trace identity along both routes.
 
     The left side lives on the circle through the transform bridge; the
     right side is computed (a) from the circle Fourier data of the pipeline
     output and (b) as a real-line integral of the pulled-back weight against
-    xi.  Both residuals enter the verdict.
+    xi.  Both residuals enter the verdict: (a) against ``circle_tol`` on the
+    scale 1 + |lhs|, (a) - (b) against ``realline_tol`` on 1 + |rhs (a)|.
     """
     return _verify_polynomial(
         "cayley_sa",
@@ -275,6 +280,8 @@ def verify_selfadjoint_formula(
         cfg,
         seed,
         unitary_endpoints=True,
+        circle_tol=circle_tol,
+        realline_tol=realline_tol,
     )
 
 
@@ -284,8 +291,11 @@ def verify_dissipative_formula(
     grid: int = DEFAULT_QUAD.grid,
     cfg: QuadConfig = DEFAULT_QUAD,
     seed: int | None = None,
+    circle_tol: float = CIRCLE_TOL,
+    realline_tol: float = REAL_LINE_TOL,
 ) -> VerificationReport:
-    """Same pipeline as the self-adjoint case, over contraction transforms."""
+    """Same pipeline and tolerances as the self-adjoint case, over contraction
+    transforms."""
     return _verify_polynomial(
         "cayley_diss",
         pair.circle_path(),
@@ -295,6 +305,8 @@ def verify_dissipative_formula(
         cfg,
         seed,
         unitary_endpoints=False,
+        circle_tol=circle_tol,
+        realline_tol=realline_tol,
     )
 
 

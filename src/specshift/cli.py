@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -53,15 +54,19 @@ def _num(x) -> str:
 class Tolerances:
     trace_formula: float = 1e-8
     trace_formula_mult: float = 1e-7
-    route_agreement: float = 1e-6
     bound_slack: float = 1e-6
     circle: float = 1e-6
     realline: float = 1e-4
 
     def validate(self):
         for name, value in asdict(self).items():
-            if value <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be a positive number, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -78,8 +83,22 @@ class CampaignConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def validate(self):
-        if self.kind not in KINDS:
+        for name in ("seed", "trials", "grid", "workers"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("dims", "degrees"):
+            value = getattr(self, name)
+            if not (isinstance(value, list) and all(_is_int(x) for x in value)):
+                raise ValueError(f"{name} must be a list of integers, got {value!r}")
+        if not isinstance(self.out, str):
+            raise ValueError(f"out must be a string, got {self.out!r}")
+        if not isinstance(self.zero_direction, bool):
+            raise ValueError(f"zero_direction must be true or false, got {self.zero_direction!r}")
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.dims or any(d < 1 for d in self.dims):
@@ -98,7 +117,11 @@ class CampaignConfig:
         if getattr(args, "config", None):
             with open(args.config) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError("a config file holds one JSON object")
             tols = data.pop("tolerances", {})
+            if not isinstance(tols, dict):
+                raise ValueError("tolerances must be a JSON object")
             for key, value in data.items():
                 if not hasattr(cfg, key):
                     raise ValueError(f"unknown config key {key!r}")
@@ -106,7 +129,7 @@ class CampaignConfig:
             for key, value in tols.items():
                 if not hasattr(cfg.tolerances, key):
                     raise ValueError(f"unknown tolerance {key!r}")
-                setattr(cfg.tolerances, key, float(value))
+                setattr(cfg.tolerances, key, value)
         for key in ("kind", "seed", "trials", "grid", "out", "workers"):
             value = getattr(args, key, None)
             if value is not None:
@@ -167,7 +190,14 @@ def _trial_cayley_sa(cfg: CampaignConfig, i: int) -> VerificationReport:
     pair = SelfAdjointPair(h, h0)
     deg = max(_pick(rng, cfg.degrees), 2)
     phi = sampling.random_analytic_polynomial(rng, deg)
-    return verify_selfadjoint_formula(pair, phi, grid=cfg.grid, seed=i)
+    return verify_selfadjoint_formula(
+        pair,
+        phi,
+        grid=cfg.grid,
+        seed=i,
+        circle_tol=cfg.tolerances.circle,
+        realline_tol=cfg.tolerances.realline,
+    )
 
 
 def _trial_cayley_diss(cfg: CampaignConfig, i: int) -> VerificationReport:
@@ -178,7 +208,14 @@ def _trial_cayley_diss(cfg: CampaignConfig, i: int) -> VerificationReport:
     pair = DissipativePair(l, l0)
     deg = max(_pick(rng, cfg.degrees), 2)
     phi = sampling.random_analytic_polynomial(rng, deg)
-    return verify_dissipative_formula(pair, phi, grid=cfg.grid, seed=i)
+    return verify_dissipative_formula(
+        pair,
+        phi,
+        grid=cfg.grid,
+        seed=i,
+        circle_tol=cfg.tolerances.circle,
+        realline_tol=cfg.tolerances.realline,
+    )
 
 
 def _trial_dilation(cfg: CampaignConfig, i: int) -> VerificationReport:

@@ -8,7 +8,7 @@ Three constructions live here:
   unitary of the unperturbed operator;
 * a finite (N+1)-block unitary whose compressions reproduce T^k exactly for
   k <= N, which is what makes semi-spectral measures computable at finite
-  dimension.
+  dimension; it is built for a whole stack of contractions at once.
 
 Block operators are immutable after construction and safe to share.
 """
@@ -20,7 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcore import as_operator, defects, hs_norm, is_contraction
+from .opcore import (
+    CONTRACTION_TOL,
+    as_operator,
+    as_operator_stack,
+    defects,
+    defects_from_svd,
+    hs_norm,
+    is_contraction,
+)
 
 __all__ = [
     "BlockOperator",
@@ -31,6 +39,7 @@ __all__ = [
     "hs_difference_schaffer",
     "modified_dilation",
     "n_dilation",
+    "dilation_unitaries",
     "polar_unitary",
 ]
 
@@ -222,30 +231,45 @@ class NDilation:
         return np.linalg.matrix_power(self.unitary, k)[:d, :d]
 
 
-def n_dilation(t, n: int) -> NDilation:
-    """Finite unitary dilation reproducing T^k under compression for k <= N.
+def dilation_unitaries(ts, n: int) -> np.ndarray:
+    """Degree-N dilation unitaries, (k, (N+1)d, (N+1)d), of k contractions.
 
     Block layout on (N+1) copies of the base space: T at (0, 0), D_T* at
     (0, N), D_T at (1, 0), -T* at (1, N) and identity shifts (j, j-1) for
-    2 <= j <= N.  Unitarity follows from the defect identities together with
-    T* D_T* = D_T T*; the residual is checked and a failure beyond
-    ``UNITARITY_FAIL`` raises :class:`DilationError`.
+    2 <= j <= N.  One stacked SVD gives both the contraction check and the
+    defect operators of every member.  Unitarity follows from the defect
+    identities together with T* D_T* = D_T T*; each member's residual is
+    checked and one beyond ``UNITARITY_FAIL`` raises :class:`DilationError`.
     """
-    t = as_operator(t)
+    ts = as_operator_stack(ts)
     if n < 1:
         raise ValueError("dilation degree must be at least 1")
-    if not is_contraction(t):
+    k, d, _ = ts.shape
+    w, sig, xh = np.linalg.svd(ts)
+    if d and sig[:, 0].max(initial=0.0) > 1.0 + CONTRACTION_TOL:
         raise ValueError("dilation requires a contraction")
-    d = t.shape[0]
-    pair = defects(t)
-    u = np.zeros(((n + 1) * d, (n + 1) * d), dtype=np.complex128)
-    u[0:d, 0:d] = t
-    u[0:d, n * d :] = pair.d_tstar
-    u[d : 2 * d, 0:d] = pair.d_t
-    u[d : 2 * d, n * d :] = -t.conj().T
-    for j in range(2, n + 1):
-        u[j * d : (j + 1) * d, (j - 1) * d : j * d] = np.eye(d)
-    residual = hs_norm(u.conj().T @ u - np.eye((n + 1) * d))
+    pair = defects_from_svd(w, sig, xh)
+    m = (n + 1) * d
+    u = np.zeros((k, m, m), dtype=np.complex128)
+    u[:, 0:d, 0:d] = ts
+    u[:, 0:d, n * d :] = pair.d_tstar
+    u[:, d : 2 * d, 0:d] = pair.d_t
+    u[:, d : 2 * d, n * d :] = -np.swapaxes(ts.conj(), 1, 2)
+    shift = np.arange(2 * d, m)
+    u[:, shift, shift - d] = 1.0
+    gram = np.swapaxes(u.conj(), 1, 2) @ u
+    gram[:, np.arange(m), np.arange(m)] -= 1.0
+    residual = np.linalg.norm(gram, axis=(1, 2)).max(initial=0.0)
     if residual > UNITARITY_FAIL:
         raise DilationError(f"dilation unitarity residual {residual:.3e}")
-    return NDilation(degree=n, embed_dim=d, unitary=u)
+    return u
+
+
+def n_dilation(t, n: int) -> NDilation:
+    """Finite unitary dilation reproducing T^k under compression for k <= N.
+
+    The one-member case of :func:`dilation_unitaries`, which holds the block
+    layout and the checks.
+    """
+    t = as_operator(t)
+    return NDilation(degree=n, embed_dim=t.shape[0], unitary=dilation_unitaries(t[None], n)[0])

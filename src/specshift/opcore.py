@@ -23,6 +23,7 @@ __all__ = [
     "DefectPair",
     "TrigPolynomial",
     "as_operator",
+    "as_operator_stack",
     "hs_norm",
     "trace_norm",
     "op_norm",
@@ -30,6 +31,7 @@ __all__ = [
     "is_hermitian",
     "is_unitary",
     "defects",
+    "defects_from_svd",
     "apply_function",
     "hermitian_exp",
 ]
@@ -60,6 +62,16 @@ def as_operator(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
+def as_operator_stack(ms) -> np.ndarray:
+    """Coerce to a (k, d, d) stack of square complex128 arrays with finite entries."""
+    a = np.asarray(ms, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -119,16 +131,24 @@ def defects(t, clamp: float = DEFECT_CLAMP) -> DefectPair:
     singular values above 1 by at most ``clamp`` are flushed to 1; a larger
     excess raises :class:`NotAContractionError`.
     """
-    t = as_operator(t)
-    w, sig, xh = np.linalg.svd(t)
+    return defects_from_svd(*np.linalg.svd(as_operator(t)), clamp=clamp)
+
+
+def defects_from_svd(w, sig, xh, clamp: float = DEFECT_CLAMP) -> DefectPair:
+    """Defect operators from an SVD ``W S X*`` computed by the caller.
+
+    Works on one SVD or on a stack of them (leading axes), so callers that
+    already hold the singular values for a contraction check pay no second
+    factorization.  Clamping and the raise are as in :func:`defects`.
+    """
     gap = (1.0 - sig) * (1.0 + sig)  # eigenvalues of I - T*T, accurately
     if gap.size and gap.min(initial=0.0) < -clamp:
         raise NotAContractionError(
-            f"largest singular value {sig[0]:.12g} exceeds 1 beyond the clamp"
+            f"largest singular value {sig.max():.12g} exceeds 1 beyond the clamp"
         )
-    root = np.sqrt(np.clip(gap, 0.0, None))
-    d_t = (xh.conj().T * root) @ xh
-    d_tstar = (w * root) @ w.conj().T
+    root = np.sqrt(np.clip(gap, 0.0, None))[..., None, :]
+    d_t = (np.swapaxes(xh.conj(), -1, -2) * root) @ xh
+    d_tstar = (w * root) @ np.swapaxes(w.conj(), -1, -2)
     return DefectPair(d_t=d_t, d_tstar=d_tstar)
 
 

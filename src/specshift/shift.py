@@ -37,7 +37,7 @@ from .opcore import TrigPolynomial, hs_norm, is_unitary
 from .paths import LINEAR, MULTIPLICATIVE, PerturbationPath
 from .quadrature import QuadratureError, adaptive_gk15, gauss_legendre_01
 from .report import VerificationReport
-from .semispectral import SemiSpectralCDF, semispectral_cdf
+from .semispectral import SemiSpectralCDF, semispectral_cdfs
 from . import sampling
 
 __all__ = [
@@ -162,7 +162,9 @@ def shift_step_representation(
 
     Encodes s-averaged differences of semi-spectral cumulative functions:
     the base CDF enters with weight one, each Gauss-Legendre node s_i with
-    weight -w_i, and the heights are traces against the path direction.  The
+    weight -w_i, and the heights are traces against the path direction.  All
+    ``cfg.s_nodes + 1`` points go through one stacked dilation and
+    eigensolve (:func:`~specshift.semispectral.semispectral_cdfs`).  The
     dilation degree defaults to ``max_power + cfg.degree_margin`` and bounds
     the Fourier modes that are faithful to the path.
     """
@@ -170,16 +172,11 @@ def shift_step_representation(
     n = max(n, 1)
     nodes, weights = gauss_legendre_01(cfg.s_nodes)
     direction = path.direction
-    angles = []
-    heights = []
-    base_cdf = semispectral_cdf(path.base, n)
-    angles.append(base_cdf.angles)
-    heights.append(_cdf_heights(direction, base_cdf))
-    for s_i, w_i in zip(nodes, weights):
-        cdf_i = semispectral_cdf(path.at(float(s_i)), n)
-        angles.append(cdf_i.angles)
-        heights.append(-w_i * _cdf_heights(direction, cdf_i))
-    return StepFunction(np.concatenate(angles), np.concatenate(heights))
+    points = [path.base] + [path.at(float(s_i)) for s_i in nodes]
+    cdfs = semispectral_cdfs(np.stack(points), n)
+    signed = np.concatenate([[1.0], -weights])
+    heights = [w * _cdf_heights(direction, cdf) for w, cdf in zip(signed, cdfs)]
+    return StepFunction(np.concatenate([cdf.angles for cdf in cdfs]), np.concatenate(heights))
 
 
 def eta_moment_linear(path: PerturbationPath, m: int) -> complex:

@@ -183,6 +183,20 @@ class TestSelfAdjointFormula:
             assert rep.residual <= 1e-6 * (1 + abs(rep.lhs))
             assert rep.extras["residual_circle_vs_realline"] <= 1e-4
 
+    @pytest.mark.parametrize("verify", [verify_selfadjoint_formula, verify_dissipative_formula])
+    def test_tolerances_reach_the_verdict(self, verify):
+        rng = np.random.default_rng(11)
+        if verify is verify_selfadjoint_formula:
+            pair = SelfAdjointPair(sampling.random_hermitian(rng, 3), sampling.random_hermitian(rng, 3))
+        else:
+            pair = DissipativePair(sampling.random_dissipative(rng, 3), sampling.random_dissipative(rng, 3))
+        phi = TrigPolynomial({2: 1.0, 3: 0.5})
+        assert verify(pair, phi, grid=512).passed
+        tight_circle = verify(pair, phi, grid=512, circle_tol=1e-30)
+        assert not tight_circle.passed and tight_circle.tol == 1e-30
+        tight_line = verify(pair, phi, grid=512, realline_tol=1e-30)
+        assert not tight_line.passed and tight_line.extras["realline_tol"] == 1e-30
+
     def test_degree_cap(self):
         rng = np.random.default_rng(11)
         pair = SelfAdjointPair(

@@ -52,6 +52,53 @@ class TestConfig:
             CampaignConfig.from_sources(args)
 
 
+class TestTypedConfig:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"trials": "5"},
+            {"dims": 4},
+            {"dims": [2, "3"]},
+            {"grid": 4096.5},
+            {"zero_direction": "yes"},
+            {"seed": -1},
+            {"kind": ["linear"]},
+            {"tolerances": {"circle": None}},
+            {"tolerances": {"circle": "1e-6"}},
+            {"tolerances": 5},
+            [1, 2],
+        ],
+    )
+    def test_bad_values_exit_two_with_one_line(self, tmp_path, capsys, data):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(data))
+        code = main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_route_agreement_is_not_a_tolerance(self, tmp_path):
+        # no campaign verifier reads a route-agreement tolerance
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"tolerances": {"route_agreement": 1e-6}}))
+        assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+
+
+class TestTransformTolerances:
+    @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
+    @pytest.mark.parametrize("key", ["circle", "realline"])
+    def test_tight_tolerance_fails(self, tmp_path, kind, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "kind": kind, "trials": 3, "tolerances": {key: 1e-30},
+            "out": str(tmp_path / "o"),
+        }))
+        assert main(["verify", "--config", str(cfg_file)]) == 1
+        entries = json.loads((tmp_path / "o" / "reports.json").read_text())
+        assert all(entry["verdict"] == "fail" for entry in entries)
+
+
 class TestExitCodes:
     def test_invalid_config_exits_two(self, tmp_path):
         code = main(["verify", "--kind", "linear", "--trials", "0",

@@ -1,0 +1,246 @@
+"""The rotated-Cayley eigensolver against a Schur oracle, and the batched
+semi-spectral path.
+
+The oracle is the complex Schur route: for a unitary the Schur basis is
+orthonormal and its columns are eigenvectors, so clustering its diagonal and
+compressing its columns gives the reference jump measure.  It lives here
+only; the library has one eigensolver.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
+from numpy.testing import assert_allclose
+
+from specshift import MomentConsistencyError, n_dilation, sampling
+from specshift import semispectral
+from specshift.opcore import DEFECT_CLAMP
+from specshift.semispectral import (
+    CLUSTER_TOL,
+    moment_residual,
+    semispectral_cdf,
+    semispectral_cdfs,
+    spectral_cdf_unitary,
+)
+
+TWO_PI = 2.0 * np.pi
+POLE = np.pi + semispectral._THETA0  # angle of the first rotation's pole
+
+
+def schur_jumps(u, compress_dim, drop_tol=-1.0, cluster_tol=CLUSTER_TOL):
+    s, z = scipy.linalg.schur(u, output="complex")
+    ang = np.angle(np.diagonal(s))
+    ang = np.where(ang <= 0.0, ang + TWO_PI, ang)
+    ang = np.where((TWO_PI - ang < cluster_tol) | (ang < cluster_tol), TWO_PI, ang)
+    order = np.argsort(ang, kind="stable")
+    ang, z = ang[order], z[:, order]
+    angles, blocks, start = [], [], 0
+    for stop in range(1, ang.size + 1):
+        if stop < ang.size and ang[stop] - ang[stop - 1] <= cluster_tol:
+            continue
+        zc = z[:compress_dim, start:stop]
+        block = zc @ zc.conj().T
+        if np.linalg.norm(block) > drop_tol:
+            angles.append(ang[start:stop].mean())
+            blocks.append(block)
+        start = stop
+    return np.array(angles), np.array(blocks)
+
+
+def assert_matches_oracle(cdf, u, compress_dim, drop_tol=-1.0):
+    angles, blocks = schur_jumps(u, compress_dim, drop_tol)
+    assert cdf.angles.shape == angles.shape
+    assert_allclose(cdf.angles, angles, rtol=0, atol=1e-10)
+    assert_allclose(cdf.blocks, blocks, rtol=0, atol=1e-10)
+
+
+def snapped(phi):
+    a = np.mod(phi, TWO_PI)
+    return TWO_PI if min(a, TWO_PI - a) < CLUSTER_TOL else a
+
+
+def clear_of_knife_edges(phis):
+    # distinct eigenvalues closer than 1e-3 have ill-determined separate
+    # projections, and ones near CLUSTER_TOL apart cluster by rounding
+    a = np.sort([snapped(phi) for phi in phis])
+    gaps = np.diff(np.append(a, a[0] + TWO_PI))
+    return not np.any((gaps > 0.5 * CLUSTER_TOL) & (gaps < 1e-3))
+
+
+def unitary_with_angles(seed, phis):
+    q = sampling.random_unitary(np.random.default_rng(seed), len(phis))
+    return (q * np.exp(1j * np.asarray(phis))) @ q.conj().T
+
+
+# eigenangles the conventions and the solver are most sensitive to
+SPECIAL = st.sampled_from(
+    [
+        POLE,  # exactly on the first rotation's pole
+        0.0,
+        0.5 * np.pi,
+        np.pi,
+        1.5 * np.pi,  # +1, i, -1, -i
+        0.4 * CLUSTER_TOL,
+        -0.4 * CLUSTER_TOL,
+        TWO_PI - 0.3 * CLUSTER_TOL,  # inside the snap band at 0 / 2pi
+    ]
+)
+ANGLE = st.one_of(SPECIAL, st.floats(0.0, TWO_PI, allow_nan=False))
+SEED = st.integers(0, 2**32 - 1)
+
+
+class TestUnitaryAgainstSchur:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEED, phis=st.lists(ANGLE, min_size=1, max_size=7))
+    def test_angles_blocks_and_moments(self, seed, phis):
+        assume(clear_of_knife_edges(phis))
+        u = unitary_with_angles(seed, phis)
+        cdf = spectral_cdf_unitary(u)
+        assert_matches_oracle(cdf, u, u.shape[0])
+        for n in (-2, -1, 0, 1, 2, 3):
+            # snapping mass within CLUSTER_TOL of 1 onto 2pi moves U^n that far
+            power = np.linalg.matrix_power(u if n >= 0 else u.conj().T, abs(n))
+            assert_allclose(cdf.moment(n), power, rtol=0, atol=1e-10 + abs(n) * CLUSTER_TOL)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEED, phi=SPECIAL, extra=st.lists(SPECIAL, max_size=4), mult=st.integers(2, 4))
+    def test_repeated_eigenvalues_form_one_projection(self, seed, phi, extra, mult):
+        u = unitary_with_angles(seed, [phi] * mult + extra)
+        cdf = spectral_cdf_unitary(u)
+        assert_matches_oracle(cdf, u, u.shape[0])
+        j = int(np.argmin(np.abs(cdf.angles - snapped(phi))))
+        assert np.trace(cdf.blocks[j]).real >= mult - 1e-9
+
+    @pytest.mark.parametrize(
+        "diag",
+        [
+            [-1.0],
+            [1.0],
+            [1j, -1j],
+            [1, 1j, -1, -1j],
+            [-1.0, -1.0, -1.0],  # -I
+            [np.exp(1j * POLE)],  # the pole itself, exactly
+            [np.exp(1j * POLE), 1.0, 1j],
+        ],
+    )
+    def test_diagonal_special_spectra(self, diag):
+        u = np.diag(np.asarray(diag, dtype=complex))
+        assert_matches_oracle(spectral_cdf_unitary(u), u, u.shape[0])
+
+    def test_angles_near_zero_snap_to_two_pi(self):
+        u = np.diag(np.exp(1j * np.array([0.4, -0.4, 0.2]) * CLUSTER_TOL))
+        cdf = spectral_cdf_unitary(u)
+        assert cdf.angles.tolist() == [TWO_PI]
+        assert_allclose(cdf.blocks[0], np.eye(3), atol=1e-12)
+
+
+class TestContractionEdge:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=SEED,
+        dim=st.integers(1, 4),
+        n=st.integers(1, 8),
+        excess=st.sampled_from([0.0, 0.2 * DEFECT_CLAMP, 0.45 * DEFECT_CLAMP]),
+    )
+    def test_norm_one_contractions(self, seed, dim, n, excess):
+        # largest singular value exactly 1, or above it inside the clamp
+        rng = np.random.default_rng(seed)
+        w = sampling.random_unitary(rng, dim)
+        x = sampling.random_unitary(rng, dim)
+        sig = np.sort(rng.uniform(0.0, 1.0, dim))[::-1]
+        sig[0] = 1.0 + excess
+        t = (w * sig) @ x.conj().T
+        cdf = semispectral_cdf(t, n)
+        cdf.validate()
+        u = n_dilation(t, n).unitary
+        assert_matches_oracle(cdf, u, dim, drop_tol=1e-12)
+        assert moment_residual(cdf, t, n) <= 1e-9
+
+
+class TestRetryPath:
+    def spy(self, monkeypatch):
+        calls = []
+        original = semispectral._rotated_eigh
+
+        def wrapped(u, theta):
+            calls.append(theta.copy())
+            return original(u, theta)
+
+        monkeypatch.setattr(semispectral, "_rotated_eigh", wrapped)
+        return calls
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-5, -1e-5])
+    def test_eigenvalue_on_first_pole_is_retried(self, monkeypatch, offset):
+        calls = self.spy(monkeypatch)
+        u = unitary_with_angles(7, [POLE + offset, 0.3, 2.0, np.pi])
+        cdf = spectral_cdf_unitary(u)
+        assert len(calls) == 2
+        assert calls[0][0] == semispectral._THETA0 != calls[1][0]
+        assert_matches_oracle(cdf, u, 4)
+
+    def test_singular_solve_is_retried(self, monkeypatch):
+        # at rotation 0 the pole is -1, so I + w is exactly singular for the
+        # second member; the stacked solve falls back to member by member
+        monkeypatch.setattr(semispectral, "_THETA0", 0.0)
+        calls = self.spy(monkeypatch)
+        good = np.diag([1j, 1.0, -1j])
+        bad = np.diag([-1.0, 1j, 1.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.eye(3) + bad, np.eye(3))
+        angles, vectors = semispectral._unitary_eigh(np.stack([good, bad]))
+        assert [c.size for c in calls] == [2, 1]
+        for u, ang, vec in zip((good, bad), angles, vectors):
+            assert_allclose(u @ vec, vec * np.exp(1j * ang), atol=1e-12)
+        assert_matches_oracle(spectral_cdf_unitary(bad), bad, 3)
+
+    def test_only_the_bad_member_is_retried(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        rng = np.random.default_rng(3)
+        good = sampling.random_unitary(rng, 4)
+        bad = unitary_with_angles(4, [POLE, 1.0, 2.0, 3.0])
+        u = np.stack([good, bad, good])
+        angles, vectors = semispectral._unitary_eigh(u)
+        assert [c.size for c in calls] == [3, 1]
+        for member in range(3):
+            eig = np.exp(1j * angles[member])
+            assert_allclose(u[member] @ vectors[member], vectors[member] * eig, atol=1e-12)
+
+
+class TestBatch:
+    @pytest.mark.parametrize("dim,n,count", [(2, 8, 33), (4, 20, 20), (6, 36, 3)])
+    def test_stack_matches_members(self, dim, n, count):
+        # (4, 20) spans three chunks of nine members; (6, 36) one member each
+        rng = np.random.default_rng(dim * 100 + n)
+        ts = np.stack([sampling.random_contraction(rng, dim) for _ in range(count)])
+        stacked = semispectral_cdfs(ts, n)
+        assert len(stacked) == count
+        for t, cdf in zip(ts, stacked):
+            alone = semispectral_cdf(t, n)
+            assert_allclose(cdf.angles, alone.angles, rtol=0, atol=1e-13)
+            assert_allclose(cdf.blocks, alone.blocks, rtol=0, atol=1e-13)
+            assert moment_residual(cdf, t, n) <= 1e-9
+
+    def test_corrupted_member_raises(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ts = np.stack([sampling.random_contraction(rng, 3) for _ in range(5)])
+        other = semispectral.dilation_unitaries(ts[:1] * 0.5, 4)[0]
+        original = semispectral.dilation_unitaries
+
+        def corrupt(chunk, n):
+            u = original(chunk, n)
+            u[3] = other  # still unitary, but the dilation of another operator
+            return u
+
+        monkeypatch.setattr(semispectral, "dilation_unitaries", corrupt)
+        with pytest.raises(MomentConsistencyError):
+            semispectral_cdfs(ts, 4)
+
+    def test_rejects_non_contraction_member(self):
+        ts = np.stack([np.zeros((2, 2)), 2.0 * np.eye(2)])
+        with pytest.raises(ValueError):
+            semispectral_cdfs(ts, 3)
+
+    def test_rejects_non_stack(self):
+        with pytest.raises(ValueError):
+            semispectral_cdfs(np.zeros((2, 2)), 3)

@@ -14,6 +14,8 @@ from .opcore import (
     is_hermitian,
     is_unitary,
     op_norm,
+    power_ladder,
+    signed_powers,
     trace_norm,
 )
 from .paths import PerturbationPath, difference_quotient_residual, monomial_bound_constant
@@ -32,7 +34,6 @@ from .dilation import (
 from .semispectral import (
     MomentConsistencyError,
     SemiSpectralCDF,
-    cdf_eval,
     moment_residual,
     semispectral_cdf,
     semispectral_cdfs,
@@ -42,11 +43,9 @@ from .shift import (
     PipelineError,
     QuadConfig,
     RealLineShift,
-    ShiftFunction,
     StepFunction,
     eta_moment_linear,
-    eta_pointwise_linear,
-    eta_tilde_moment_mult,
+    eta_moments_linear,
     eta_tilde_moments_mult,
     gamma_pipeline,
     mobius_polynomial_weight,

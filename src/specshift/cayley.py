@@ -15,7 +15,7 @@ resolvent identity is verified against it with the explicit cubic weight.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .opcore import TrigPolynomial, as_operator, hs_norm, is_contraction, is_her
 from .paths import PerturbationPath
 from .report import VerificationReport
 from .shift import (
+    DEFAULT_GRID,
     DEFAULT_QUAD,
     QuadConfig,
     RealLineShift,
@@ -56,13 +57,18 @@ class DegenerateTransformError(ValueError):
     """A Cayley image has eigenvalue 1 within tolerance."""
 
 
+def _cayley(x: np.ndarray, a: complex) -> np.ndarray:
+    # (a - X)(a + X)^{-1}, solved as the transposed system
+    eye = a * np.eye(x.shape[0])
+    return np.linalg.solve((eye + x).T, (eye - x).T).T
+
+
 def cayley_sa(h) -> np.ndarray:
     """Unitary Cayley transform (i - H)(i + H)^{-1} of a Hermitian matrix."""
     h = as_operator(h)
     if not is_hermitian(h):
         raise ValueError("Cayley transform of this kind requires a Hermitian matrix")
-    eye = 1j * np.eye(h.shape[0])
-    return np.linalg.solve((eye + h).T, (eye - h).T).T
+    return _cayley(h, 1j)
 
 
 def cayley_dissipative(l) -> np.ndarray:
@@ -71,8 +77,7 @@ def cayley_dissipative(l) -> np.ndarray:
     imag_part = (l - l.conj().T) / 2j
     if float(np.linalg.eigvalsh(imag_part).min()) < -DISSIPATIVE_PSD_TOL:
         raise ValueError("matrix is not dissipative: imaginary part is not PSD")
-    eye = 1j * np.eye(l.shape[0])
-    t = np.linalg.solve((eye + l).T, (eye - l).T).T
+    t = _cayley(l, 1j)
     _require_no_eigenvalue_one(t)
     return t
 
@@ -88,17 +93,19 @@ def _require_no_eigenvalue_one(t: np.ndarray) -> None:
 
 def inverse_cayley(u) -> np.ndarray:
     """Recover the operator i (I - U)(I + U)^{-1} from its Cayley image."""
-    u = as_operator(u)
-    eye = np.eye(u.shape[0])
-    return 1j * np.linalg.solve((eye + u).T, (eye - u).T).T
+    return 1j * _cayley(as_operator(u), 1.0)
 
 
 @dataclass(frozen=True)
 class SelfAdjointPair:
-    """A pair of Hermitian matrices with unitary Cayley transforms."""
+    """A pair of Hermitian matrices with unitary Cayley transforms.
+
+    The transforms are computed and checked once, at construction.
+    """
 
     h: np.ndarray
     h0: np.ndarray
+    _transforms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = as_operator(self.h)
@@ -109,27 +116,34 @@ class SelfAdjointPair:
             raise ValueError("pair must share one dimension")
         if not (is_hermitian(h) and is_hermitian(h0)):
             raise ValueError("both matrices must be Hermitian")
-        if not (is_unitary(cayley_sa(h), 1e-9) and is_unitary(cayley_sa(h0), 1e-9)):
+        u, u0 = cayley_sa(h), cayley_sa(h0)
+        if not (is_unitary(u, 1e-9) and is_unitary(u0, 1e-9)):
             raise ValueError("Cayley transforms failed the unitarity check")
+        object.__setattr__(self, "_transforms", (u, u0))
 
     @property
     def dim(self) -> int:
         return self.h.shape[0]
 
     def transforms(self) -> tuple[np.ndarray, np.ndarray]:
-        return cayley_sa(self.h), cayley_sa(self.h0)
+        return self._transforms
 
     def circle_path(self) -> PerturbationPath:
-        u, u0 = self.transforms()
+        u, u0 = self._transforms
         return PerturbationPath.linear(u0, u - u0)
 
 
 @dataclass(frozen=True)
 class DissipativePair:
-    """A pair of dissipative matrices whose Cayley images avoid eigenvalue 1."""
+    """A pair of dissipative matrices whose Cayley images avoid eigenvalue 1.
+
+    The transforms are computed and checked once, at construction;
+    :func:`cayley_dissipative` refuses a matrix that is not dissipative.
+    """
 
     l: np.ndarray
     l0: np.ndarray
+    _transforms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         l = as_operator(self.l)
@@ -138,23 +152,20 @@ class DissipativePair:
         object.__setattr__(self, "l0", l0)
         if l.shape != l0.shape:
             raise ValueError("pair must share one dimension")
-        for x in (l, l0):
-            imag_part = (x - x.conj().T) / 2j
-            if float(np.linalg.eigvalsh(imag_part).min()) < -DISSIPATIVE_PSD_TOL:
-                raise ValueError("both matrices must be dissipative")
         t, t0 = cayley_dissipative(l), cayley_dissipative(l0)
         if not (is_contraction(t) and is_contraction(t0)):
             raise ValueError("Cayley images failed the contraction check")
+        object.__setattr__(self, "_transforms", (t, t0))
 
     @property
     def dim(self) -> int:
         return self.l.shape[0]
 
     def transforms(self) -> tuple[np.ndarray, np.ndarray]:
-        return cayley_dissipative(self.l), cayley_dissipative(self.l0)
+        return self._transforms
 
     def circle_path(self) -> PerturbationPath:
-        t, t0 = self.transforms()
+        t, t0 = self._transforms
         return PerturbationPath.linear(t0, t - t0)
 
 
@@ -173,44 +184,20 @@ def w_path(pair: SelfAdjointPair | DissipativePair, s: float) -> np.ndarray:
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError("path parameter outside [0, 1]")
-    if isinstance(pair, SelfAdjointPair):
-        x, x0 = pair.h, pair.h0
-        c, c0 = pair.transforms()
-    else:
-        x, x0 = pair.l, pair.l0
-        c, c0 = pair.transforms()
+    x, x0 = (pair.h, pair.h0) if isinstance(pair, SelfAdjointPair) else (pair.l, pair.l0)
+    c, c0 = pair.transforms()
     w = _bridge(x, x0, s)
-    eye = 1j * np.eye(w.shape[0])
-    image = np.linalg.solve((eye + w).T, (eye - w).T).T
+    image = _cayley(w, 1j)
     target = (1.0 - s) * c0 + s * c
     if hs_norm(image - target) > 1e-9 * (1.0 + hs_norm(target)):
         raise ArithmeticError("interpolating operator failed the transform identity")
     return w
 
 
-def _pipeline_for(
-    path: PerturbationPath,
-    max_power: int,
-    grid: int,
-    cfg: QuadConfig,
-    degree: int | None = None,
-    unitary_endpoints: bool = True,
-) -> RealLineShift:
-    return gamma_pipeline(
-        path,
-        grid=grid,
-        max_power=max_power,
-        cfg=cfg,
-        degree=degree,
-        require_unitary_endpoints=unitary_endpoints,
-    )
-
-
 def _verify_polynomial(
     kind: str,
     path: PerturbationPath,
     phi: TrigPolynomial,
-    dim: int,
     grid: int,
     cfg: QuadConfig,
     seed: int | None,
@@ -224,8 +211,12 @@ def _verify_polynomial(
         raise ValueError("polynomial degree too large for the configured grid")
     start = time.perf_counter()
     lhs = path.second_order_trace(phi)
-    line = _pipeline_for(
-        path, max(phi.max_index, 1), grid, cfg, unitary_endpoints=unitary_endpoints
+    line = gamma_pipeline(
+        path,
+        grid=grid,
+        max_power=max(phi.max_index, 1),
+        cfg=cfg,
+        require_unitary_endpoints=unitary_endpoints,
     )
     rhs_a = line.pairing_second_derivative(phi)
     rhs_b = line.pairing_realline(mobius_polynomial_weight(phi))
@@ -241,7 +232,7 @@ def _verify_polynomial(
         residual=res_a,
         tol=circle_tol,
         passed=passed,
-        dim=dim,
+        dim=path.dim,
         degree=phi.max_index,
         seed=seed,
         runtime=time.perf_counter() - start,
@@ -257,7 +248,7 @@ def _verify_polynomial(
 def verify_selfadjoint_formula(
     pair: SelfAdjointPair,
     phi: TrigPolynomial,
-    grid: int = DEFAULT_QUAD.grid,
+    grid: int = DEFAULT_GRID,
     cfg: QuadConfig = DEFAULT_QUAD,
     seed: int | None = None,
     circle_tol: float = CIRCLE_TOL,
@@ -275,7 +266,6 @@ def verify_selfadjoint_formula(
         "cayley_sa",
         pair.circle_path(),
         phi,
-        pair.dim,
         grid,
         cfg,
         seed,
@@ -288,7 +278,7 @@ def verify_selfadjoint_formula(
 def verify_dissipative_formula(
     pair: DissipativePair,
     phi: TrigPolynomial,
-    grid: int = DEFAULT_QUAD.grid,
+    grid: int = DEFAULT_GRID,
     cfg: QuadConfig = DEFAULT_QUAD,
     seed: int | None = None,
     circle_tol: float = CIRCLE_TOL,
@@ -300,7 +290,6 @@ def verify_dissipative_formula(
         "cayley_diss",
         pair.circle_path(),
         phi,
-        pair.dim,
         grid,
         cfg,
         seed,
@@ -312,7 +301,7 @@ def verify_dissipative_formula(
 
 def resolvent_pipeline(
     pair: SelfAdjointPair,
-    grid: int = DEFAULT_QUAD.grid,
+    grid: int = DEFAULT_GRID,
     cfg: QuadConfig = DEFAULT_QUAD,
     degree: int = RESOLVENT_DEGREE,
 ) -> RealLineShift:
@@ -321,15 +310,15 @@ def resolvent_pipeline(
     Build once and hand to :func:`verify_resolvent_formula` when checking
     several points z for the same pair.
     """
-    return _pipeline_for(
-        pair.circle_path(), max_power=degree, grid=grid, cfg=cfg, degree=degree
+    return gamma_pipeline(
+        pair.circle_path(), grid=grid, max_power=degree, cfg=cfg, degree=degree
     )
 
 
 def verify_resolvent_formula(
     pair: SelfAdjointPair,
     z: complex,
-    grid: int = DEFAULT_QUAD.grid,
+    grid: int = DEFAULT_GRID,
     cfg: QuadConfig = DEFAULT_QUAD,
     degree: int = RESOLVENT_DEGREE,
     tol: float = RESOLVENT_TOL,

@@ -21,16 +21,22 @@ import numpy as np
 
 from . import sampling
 from .cayley import (
+    CIRCLE_TOL,
+    REAL_LINE_TOL,
     DissipativePair,
     SelfAdjointPair,
     verify_dissipative_formula,
     verify_selfadjoint_formula,
 )
 from .dilation import hs_difference_schaffer, n_dilation, schaffer_window
-from .opcore import TrigPolynomial, hs_norm, is_unitary
+from .opcore import TrigPolynomial, hs_norm, is_unitary, power_ladder
 from .paths import PerturbationPath
-from .report import VerificationReport, write_csv, write_reports_json
+from .report import VerificationReport, _num, write_csv, write_reports_json
 from .shift import (
+    BOUND_SLACK,
+    DEFAULT_GRID,
+    TRACE_TOL_LINEAR,
+    TRACE_TOL_MULT,
     gamma_pipeline,
     shift_step_representation,
     verify_trace_formula_linear,
@@ -46,17 +52,22 @@ from .truncate import (
 
 KINDS = ("linear", "mult", "cayley_sa", "cayley_diss", "dilation", "truncate")
 
-def _num(x) -> str:
-    return format(float(x), ".17g")
+# Fixed tolerances of the dilation and truncate verdicts (no config key).
+DILATION_TOL = 1e-9          # unitarity and power compression of the N-dilation
+SCHAFFER_TOL = 1e-10         # closed-form vs windowed Schaffer difference
+OVERSHOOT_MIN = 1e-8         # the first uncovered power must miss T^(N+1) by more,
+UNITARY_CONTROL_TOL = 1e-6   # unless T is unitary, when every power dilates
+REMAINDER_SLACK = 1e-10      # exponential remainder gap over its closed-form bound
+TRUNCATION_GAP_TOL = 1e-12   # compression gap at full rank
 
 
 @dataclass
 class Tolerances:
-    trace_formula: float = 1e-8
-    trace_formula_mult: float = 1e-7
-    bound_slack: float = 1e-6
-    circle: float = 1e-6
-    realline: float = 1e-4
+    trace_formula: float = TRACE_TOL_LINEAR
+    trace_formula_mult: float = TRACE_TOL_MULT
+    bound_slack: float = BOUND_SLACK
+    circle: float = CIRCLE_TOL
+    realline: float = REAL_LINE_TOL
 
     def validate(self):
         for name, value in asdict(self).items():
@@ -76,7 +87,7 @@ class CampaignConfig:
     trials: int = 50
     dims: list[int] = field(default_factory=lambda: [2, 3, 4, 6])
     degrees: list[int] = field(default_factory=lambda: [2, 3, 4, 5, 6])
-    grid: int = 4096
+    grid: int = DEFAULT_GRID
     out: str = "specshift-out"
     zero_direction: bool = False
     workers: int = 1
@@ -152,63 +163,48 @@ def _pick(rng: np.random.Generator, items) -> int:
     return int(items[int(rng.integers(len(items)))])
 
 
+def _sample_path(rng: np.random.Generator, kind: str, dim: int, zero_direction: bool):
+    # a random path of the kind, or a random base with a zero direction
+    if zero_direction:
+        make = PerturbationPath.linear if kind == "linear" else PerturbationPath.multiplicative
+        return make(sampling.random_contraction(rng, dim), np.zeros((dim, dim)))
+    if kind == "linear":
+        return sampling.random_linear_path(rng, dim)
+    return sampling.random_multiplicative_path(rng, dim)
+
+
 # --- per-kind trial bodies -------------------------------------------------
 
 
 def _trial_linear(cfg: CampaignConfig, i: int) -> VerificationReport:
     rng = _trial_rng(cfg.seed, i)
-    dim = _pick(rng, cfg.dims)
-    if cfg.zero_direction:
-        path = PerturbationPath.linear(sampling.random_contraction(rng, dim), np.zeros((dim, dim)))
-    else:
-        path = sampling.random_linear_path(rng, dim)
+    path = _sample_path(rng, "linear", _pick(rng, cfg.dims), cfg.zero_direction)
     deg = _pick(rng, cfg.degrees)
     p = sampling.random_analytic_polynomial(rng, deg)
-    rep = verify_trace_formula_linear(path, p, tol=cfg.tolerances.trace_formula, seed=i)
-    return rep
+    return verify_trace_formula_linear(path, p, tol=cfg.tolerances.trace_formula, seed=i)
 
 
 def _trial_mult(cfg: CampaignConfig, i: int) -> VerificationReport:
     rng = _trial_rng(cfg.seed, i)
-    dim = _pick(rng, cfg.dims)
-    if cfg.zero_direction:
-        path = PerturbationPath.multiplicative(
-            sampling.random_contraction(rng, dim), np.zeros((dim, dim))
-        )
-    else:
-        path = sampling.random_multiplicative_path(rng, dim)
+    path = _sample_path(rng, "mult", _pick(rng, cfg.dims), cfg.zero_direction)
     deg = max(_pick(rng, cfg.degrees), 1)
     p = sampling.random_trig_polynomial(rng, deg)
     return verify_trace_formula_mult(path, p, tol=cfg.tolerances.trace_formula_mult, seed=i)
 
 
-def _trial_cayley_sa(cfg: CampaignConfig, i: int) -> VerificationReport:
+def _trial_transform(cfg: CampaignConfig, i: int) -> VerificationReport:
+    # cayley_sa: a Hermitian pair; cayley_diss: a dissipative pair
+    sa = cfg.kind == "cayley_sa"
+    sample = sampling.random_hermitian if sa else sampling.random_dissipative
     rng = _trial_rng(cfg.seed, i)
     dim = _pick(rng, cfg.dims)
-    h0 = sampling.random_hermitian(rng, dim)
-    h = h0 if cfg.zero_direction else sampling.random_hermitian(rng, dim)
-    pair = SelfAdjointPair(h, h0)
+    x0 = sample(rng, dim)
+    x = x0 if cfg.zero_direction else sample(rng, dim)
+    pair = SelfAdjointPair(x, x0) if sa else DissipativePair(x, x0)
     deg = max(_pick(rng, cfg.degrees), 2)
     phi = sampling.random_analytic_polynomial(rng, deg)
-    return verify_selfadjoint_formula(
-        pair,
-        phi,
-        grid=cfg.grid,
-        seed=i,
-        circle_tol=cfg.tolerances.circle,
-        realline_tol=cfg.tolerances.realline,
-    )
-
-
-def _trial_cayley_diss(cfg: CampaignConfig, i: int) -> VerificationReport:
-    rng = _trial_rng(cfg.seed, i)
-    dim = _pick(rng, cfg.dims)
-    l0 = sampling.random_dissipative(rng, dim)
-    l = l0 if cfg.zero_direction else sampling.random_dissipative(rng, dim)
-    pair = DissipativePair(l, l0)
-    deg = max(_pick(rng, cfg.degrees), 2)
-    phi = sampling.random_analytic_polynomial(rng, deg)
-    return verify_dissipative_formula(
+    verify = verify_selfadjoint_formula if sa else verify_dissipative_formula
+    return verify(
         pair,
         phi,
         grid=cfg.grid,
@@ -228,26 +224,28 @@ def _trial_dilation(cfg: CampaignConfig, i: int) -> VerificationReport:
     dil = n_dilation(t, degree)
     eye = np.eye(dil.unitary.shape[0])
     unitarity = hs_norm(dil.unitary.conj().T @ dil.unitary - eye)
-    compression = max(
-        hs_norm(dil.compression(k) - np.linalg.matrix_power(t, k)) for k in range(degree + 1)
-    )
-    overshoot = hs_norm(
-        dil.compression(degree + 1) - np.linalg.matrix_power(t, degree + 1)
-    )
+    powers = power_ladder(t, degree + 1)
+    compression = max(hs_norm(dil.compression(k) - powers[k]) for k in range(degree + 1))
+    overshoot = hs_norm(dil.compression(degree + 1) - powers[degree + 1])
     closed = hs_difference_schaffer(t, t0)
     k_win = max(degree, 1)
     windowed = hs_norm(
         schaffer_window(t, k_win).to_dense() - schaffer_window(t0, k_win).to_dense()
     )
     residual = abs(closed - windowed)
-    negcontrol_ok = is_unitary(t, 1e-6) or overshoot > 1e-8
-    passed = unitarity <= 1e-9 and compression <= 1e-9 and residual <= 1e-10 and negcontrol_ok
+    negcontrol_ok = is_unitary(t, UNITARY_CONTROL_TOL) or overshoot > OVERSHOOT_MIN
+    passed = (
+        unitarity <= DILATION_TOL
+        and compression <= DILATION_TOL
+        and residual <= SCHAFFER_TOL
+        and negcontrol_ok
+    )
     return VerificationReport(
         kind="dilation",
         lhs=complex(closed),
         rhs=complex(windowed),
         residual=residual,
-        tol=1e-10,
+        tol=SCHAFFER_TOL,
         passed=passed,
         dim=dim,
         degree=degree,
@@ -272,7 +270,7 @@ def _trial_truncate(cfg: CampaignConfig, i: int) -> VerificationReport:
     seq = build_projections(n0, ranks, rotate=True, seed=i)
     rows = reduction_diagnostics(seq, n0, v, a)
     bound_ok = all(
-        row["exp_remainder_gap"] <= row["exp_remainder_bound"] + 1e-10 for row in rows
+        row["exp_remainder_gap"] <= row["exp_remainder_bound"] + REMAINDER_SLACK for row in rows
     )
     base = n0 + v
     scale = 1.0 / max(1.0, np.linalg.norm(base, 2) * 1.01)
@@ -280,13 +278,13 @@ def _trial_truncate(cfg: CampaignConfig, i: int) -> VerificationReport:
     deg = max(_pick(rng, cfg.degrees), 1)
     gaps = truncation_gap(seq, path, TrigPolynomial({deg: 1.0}))
     full_gap = gaps[-1]["gap"]
-    passed = bound_ok and full_gap <= 1e-12
+    passed = bound_ok and full_gap <= TRUNCATION_GAP_TOL
     return VerificationReport(
         kind="truncate",
         lhs=complex(full_gap),
         rhs=0.0,
         residual=full_gap,
-        tol=1e-12,
+        tol=TRUNCATION_GAP_TOL,
         passed=passed,
         dim=dim,
         degree=deg,
@@ -299,8 +297,8 @@ def _trial_truncate(cfg: CampaignConfig, i: int) -> VerificationReport:
 _TRIALS = {
     "linear": _trial_linear,
     "mult": _trial_mult,
-    "cayley_sa": _trial_cayley_sa,
-    "cayley_diss": _trial_cayley_diss,
+    "cayley_sa": _trial_transform,
+    "cayley_diss": _trial_transform,
     "dilation": _trial_dilation,
     "truncate": _trial_truncate,
 }
@@ -357,43 +355,21 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
     path_file = out / "shift_samples.csv"
     max_deg = max(cfg.degrees)
     if cfg.kind in ("linear", "mult"):
-        if cfg.kind == "linear":
-            path = (
-                PerturbationPath.linear(
-                    sampling.random_contraction(rng, dim), np.zeros((dim, dim))
-                )
-                if cfg.zero_direction
-                else sampling.random_linear_path(rng, dim)
-            )
-        else:
-            path = (
-                PerturbationPath.multiplicative(
-                    sampling.random_contraction(rng, dim), np.zeros((dim, dim))
-                )
-                if cfg.zero_direction
-                else sampling.random_multiplicative_path(rng, dim)
-            )
+        path = _sample_path(rng, cfg.kind, dim, cfg.zero_direction)
         step = shift_step_representation(path, max_power=max_deg)
         t = np.linspace(0.0, 2.0 * np.pi, cfg.grid)
         vals = step(t)
         header = "t,re_eta,im_eta"
         cols = (t, vals.real, vals.imag)
     elif cfg.kind in ("cayley_sa", "cayley_diss"):
-        if cfg.kind == "cayley_sa":
-            pair = SelfAdjointPair(
-                sampling.random_hermitian(rng, dim), sampling.random_hermitian(rng, dim)
-            )
-            unitary_endpoints = True
-        else:
-            pair = DissipativePair(
-                sampling.random_dissipative(rng, dim), sampling.random_dissipative(rng, dim)
-            )
-            unitary_endpoints = False
+        sa = cfg.kind == "cayley_sa"
+        sample = sampling.random_hermitian if sa else sampling.random_dissipative
+        pair = (SelfAdjointPair if sa else DissipativePair)(sample(rng, dim), sample(rng, dim))
         line = gamma_pipeline(
             pair.circle_path(),
             grid=cfg.grid,
             max_power=max_deg,
-            require_unitary_endpoints=unitary_endpoints,
+            require_unitary_endpoints=sa,
         )
         t = (np.arange(cfg.grid) + 0.5) * (2.0 * np.pi / cfg.grid)
         lam = np.tan(0.5 * t)
@@ -454,8 +430,9 @@ def run_report(cfg: CampaignConfig) -> int:
         )
         slot["count"] += 1
         slot["failed"] += entry["verdict"] != "pass"
-        if np.isfinite(entry["residual"]):
-            slot["max_residual"] = max(slot["max_residual"], entry["residual"])
+        residual = entry["residual"]  # null when it was not finite
+        if residual is not None and math.isfinite(residual):
+            slot["max_residual"] = max(slot["max_residual"], residual)
     summary = {"kinds": by_kind, "total": len(entries)}
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)

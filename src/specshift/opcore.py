@@ -33,6 +33,8 @@ __all__ = [
     "defects",
     "defects_from_svd",
     "apply_function",
+    "power_ladder",
+    "signed_powers",
     "hermitian_exp",
 ]
 
@@ -269,6 +271,34 @@ def apply_function(f: TrigPolynomial, t) -> np.ndarray:
             acc = tstar @ acc
         out += acc
     return out
+
+
+def power_ladder(t, kmax: int) -> np.ndarray:
+    """Powers [I, T, ..., T^kmax] of a matrix or of a stack of matrices.
+
+    The result has shape ``(kmax + 1,) + t.shape``.  Each power is the one
+    before it times T on the right, so non-normal T is never diagonalized;
+    adjoint powers are the ladder of the adjoint.
+    """
+    if kmax < 0:
+        raise ValueError("a power ladder needs kmax >= 0")
+    t = np.asarray(t, dtype=np.complex128)
+    out = np.empty((kmax + 1,) + t.shape, dtype=np.complex128)
+    out[0] = np.eye(t.shape[-1])
+    for n in range(kmax):
+        np.matmul(out[n], t, out=out[n + 1])
+    return out
+
+
+def signed_powers(t, ks) -> np.ndarray:
+    """Stack of T^k for each k in ``ks``, the adjoint power (T*)^|k| for k < 0.
+
+    Built from two power ladders, one on T and one on T*.
+    """
+    t = np.asarray(t, dtype=np.complex128)
+    up = power_ladder(t, max(max(ks), 0))
+    down = power_ladder(t.conj().T, max(-min(ks), 0))
+    return np.stack([up[k] if k >= 0 else down[-k] for k in ks])
 
 
 def hermitian_exp(a, s: float) -> np.ndarray:

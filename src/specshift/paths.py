@@ -22,6 +22,7 @@ from .opcore import (
     as_operator,
     is_contraction,
     is_hermitian,
+    power_ladder,
     trace_norm,
 )
 
@@ -104,19 +105,19 @@ class PerturbationPath:
         if self.kind == LINEAR:
             if r < 0:
                 raise ValueError("linear-path derivative is undefined for negative powers")
-            pows = _power_list(t0, r - 1)
+            pows = power_ladder(t0, r - 1)
             v = self.direction
             for j in range(r):
                 out += pows[r - j - 1] @ v @ pows[j]
             return out
         ia = 1j * self.direction
         if r >= 1:
-            pows = _power_list(t0, r)
+            pows = power_ladder(t0, r)
             for j in range(r):
                 out += pows[r - j - 1] @ ia @ pows[j + 1]
             return out
         q = -r
-        pows = _power_list(t0.conj().T, q)
+        pows = power_ladder(t0.conj().T, q)
         for j in range(q):
             out -= pows[q - j] @ ia @ pows[j]
         return out
@@ -132,18 +133,15 @@ class PerturbationPath:
             out += c * self.gateaux_monomial(k)
         return out
 
-    def second_order_trace(self, f: TrigPolynomial) -> complex:
-        """Tr{ f(T_1) - f(T_0) - (d/ds) f(T_s) |_{s=0} }."""
+    def second_order_difference(self, f: TrigPolynomial) -> np.ndarray:
+        """f(T_1) - f(T_0) - (d/ds) f(T_s) |_{s=0}, as a matrix."""
         top = apply_function(f, self.at(1.0))
         bot = apply_function(f, self.base)
-        return complex(np.trace(top - bot - self.gateaux(f)))
+        return top - bot - self.gateaux(f)
 
-
-def _power_list(t: np.ndarray, kmax: int) -> list[np.ndarray]:
-    pows = [np.eye(t.shape[0], dtype=np.complex128)]
-    for _ in range(kmax):
-        pows.append(pows[-1] @ t)
-    return pows
+    def second_order_trace(self, f: TrigPolynomial) -> complex:
+        """Tr{ f(T_1) - f(T_0) - (d/ds) f(T_s) |_{s=0} }."""
+        return complex(np.trace(self.second_order_difference(f)))
 
 
 def difference_quotient_residual(path: PerturbationPath, f: TrigPolynomial, t: float) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -63,9 +64,13 @@ class VerificationReport:
         ]
 
     def to_dict(self) -> dict[str, Any]:
+        """Plain JSON data; a non-finite number becomes None (JSON null)."""
+
         def enc(v):
             if isinstance(v, complex):
-                return {"re": v.real, "im": v.imag}
+                return {"re": enc(v.real), "im": enc(v.imag)}
+            if isinstance(v, float):
+                return v if math.isfinite(v) else None
             if isinstance(v, (list, tuple)):
                 return [enc(x) for x in v]
             return v
@@ -77,10 +82,10 @@ class VerificationReport:
             "degree": self.degree,
             "lhs": enc(complex(self.lhs)),
             "rhs": enc(complex(self.rhs)),
-            "residual": self.residual,
-            "tol": self.tol,
+            "residual": enc(self.residual),
+            "tol": enc(self.tol),
             "verdict": self.verdict,
-            "runtime": self.runtime,
+            "runtime": enc(self.runtime),
             "extras": {k: enc(v) for k, v in self.extras.items()},
         }
 
@@ -95,5 +100,5 @@ def write_csv(path, reports: Iterable[VerificationReport]) -> None:
 
 def write_reports_json(path, reports: Iterable[VerificationReport]) -> None:
     with open(path, "w") as fh:
-        json.dump([rep.to_dict() for rep in reports], fh, indent=1)
+        json.dump([rep.to_dict() for rep in reports], fh, indent=1, allow_nan=False)
         fh.write("\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .opcore import op_norm
+from .opcore import TrigPolynomial, op_norm
 from .paths import PerturbationPath
 
 __all__ = [
@@ -88,15 +88,11 @@ def random_dissipative(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_analytic_polynomial(rng: np.random.Generator, max_deg: int, min_deg: int = 0):
-    from .opcore import TrigPolynomial
-
     coeffs = random_coefficients(rng, max_deg - min_deg + 1)
     return TrigPolynomial({k + min_deg: c for k, c in enumerate(coeffs)})
 
 
 def random_trig_polynomial(rng: np.random.Generator, max_abs: int):
-    from .opcore import TrigPolynomial
-
     coeffs = random_coefficients(rng, 2 * max_abs + 1)
     return TrigPolynomial({k - max_abs: c for k, c in enumerate(coeffs)})
 

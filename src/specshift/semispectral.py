@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dilation import dilation_unitaries
-from .opcore import as_operator, as_operator_stack, hs_norm, is_unitary
+from .opcore import as_operator, as_operator_stack, hs_norm, is_unitary, power_ladder
 
 __all__ = [
     "SemiSpectralCDF",
@@ -33,7 +33,6 @@ __all__ = [
     "spectral_cdf_unitary",
     "semispectral_cdf",
     "semispectral_cdfs",
-    "cdf_eval",
     "moment_residual",
 ]
 
@@ -134,11 +133,6 @@ class SemiSpectralCDF:
             dtype=np.complex128,
         ).reshape(len(data["jumps"]), dim, dim)
         return cls(dim=dim, angles=angles, blocks=blocks)
-
-
-def cdf_eval(cdf: SemiSpectralCDF, t: float) -> np.ndarray:
-    """Module-level alias for :meth:`SemiSpectralCDF.value`."""
-    return cdf.value(t)
 
 
 def _wrap_angles(ang: np.ndarray, cluster_tol: float) -> np.ndarray:
@@ -281,10 +275,7 @@ def spectral_cdf_unitary(u, cluster_tol: float = CLUSTER_TOL) -> SemiSpectralCDF
 
 def _moment_residuals(cdfs, ts: np.ndarray, nmax: int) -> np.ndarray:
     # per member, the largest Hilbert-Schmidt gap over one shared power ladder
-    powers = np.empty((nmax + 1,) + ts.shape, dtype=np.complex128)
-    powers[0] = np.eye(ts.shape[-1])
-    for n in range(nmax):
-        powers[n + 1] = powers[n] @ ts
+    powers = power_ladder(ts, nmax)
     ns = np.arange(nmax + 1)
     moments = np.stack([cdf.moments(ns) for cdf in cdfs], axis=1)
     return np.linalg.norm(moments - powers, axis=(2, 3)).max(axis=0)

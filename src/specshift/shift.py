@@ -27,28 +27,25 @@ convention.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .opcore import TrigPolynomial, hs_norm, is_unitary
+from .opcore import TrigPolynomial, hs_norm, is_unitary, power_ladder, signed_powers
 from .paths import LINEAR, MULTIPLICATIVE, PerturbationPath
 from .quadrature import QuadratureError, adaptive_gk15, gauss_legendre_01
 from .report import VerificationReport
-from .semispectral import SemiSpectralCDF, semispectral_cdfs
+from .semispectral import semispectral_cdfs
 from . import sampling
 
 __all__ = [
     "QuadConfig",
     "StepFunction",
     "RealLineShift",
-    "ShiftFunction",
     "PipelineError",
     "eta_moment_linear",
-    "eta_pointwise_linear",
-    "eta_tilde_moment_mult",
+    "eta_moments_linear",
     "eta_tilde_moments_mult",
     "shift_step_representation",
     "verify_trace_formula_linear",
@@ -62,6 +59,10 @@ TRACE_TOL_LINEAR = 1e-8
 TRACE_TOL_MULT = 1e-7
 BOUND_SLACK = 1e-6
 
+# Default circle grid of the real-line pipeline (its zero-integral check)
+# and of campaigns.
+DEFAULT_GRID = 4096
+
 
 class PipelineError(RuntimeError):
     """The circle-to-line pipeline failed its internal zero-integral check."""
@@ -73,19 +74,18 @@ class QuadConfig:
 
     ``s_nodes`` Gauss-Legendre nodes discretize the path average; the
     dilation degree is the highest integrated power plus ``degree_margin``;
-    ``grid`` is the circle grid used by samplers and grid diagnostics;
     ``quad_tol``/``quad_max_depth`` drive the adaptive rule on
-    multiplicative paths.
+    multiplicative paths.  Circle grids are not configured here: each
+    consumer takes its own ``grid`` argument (default ``DEFAULT_GRID``).
     """
 
     s_nodes: int = 32
     degree_margin: int = 2
-    grid: int = 4096
     quad_tol: float = 1e-10
     quad_max_depth: int = 12
 
     def __post_init__(self):
-        if self.s_nodes < 1 or self.grid < 256 or self.degree_margin < 0:
+        if self.s_nodes < 1 or self.degree_margin < 0:
             raise ValueError("invalid quadrature configuration")
         if self.quad_tol <= 0 or self.quad_max_depth < 1:
             raise ValueError("invalid quadrature configuration")
@@ -147,11 +147,6 @@ class StepFunction:
         return float(np.abs(self.heights).sum())
 
 
-def _cdf_heights(direction: np.ndarray, cdf: SemiSpectralCDF) -> np.ndarray:
-    # Tr[direction @ J_j] for every jump block, vectorized
-    return np.einsum("ab,jba->j", direction, cdf.blocks)
-
-
 def shift_step_representation(
     path: PerturbationPath,
     max_power: int,
@@ -171,69 +166,60 @@ def shift_step_representation(
     n = degree if degree is not None else max_power + cfg.degree_margin
     n = max(n, 1)
     nodes, weights = gauss_legendre_01(cfg.s_nodes)
-    direction = path.direction
     points = [path.base] + [path.at(float(s_i)) for s_i in nodes]
     cdfs = semispectral_cdfs(np.stack(points), n)
     signed = np.concatenate([[1.0], -weights])
-    heights = [w * _cdf_heights(direction, cdf) for w, cdf in zip(signed, cdfs)]
+    # Tr[direction @ J_j] for every jump block J_j
+    heights = [
+        w * np.einsum("ab,jba->j", path.direction, cdf.blocks) for w, cdf in zip(signed, cdfs)
+    ]
     return StepFunction(np.concatenate([cdf.angles for cdf in cdfs]), np.concatenate(heights))
+
+
+def eta_moments_linear(path: PerturbationPath, ms) -> dict[int, complex]:
+    """Contour moments c_m, m in ``ms``, of the linear-path shift function, exactly.
+
+    The s-integrand of c_m is a polynomial of degree m+1, so one
+    Gauss-Legendre rule of (max(ms)+3)//2 nodes integrates every requested
+    moment exactly; each node walks one power ladder up to max(ms)+1.
+    """
+    if path.kind != LINEAR:
+        raise ValueError("moment route is defined for linear paths")
+    ms = [int(m) for m in ms]
+    if any(m < 0 for m in ms):
+        raise ValueError("contour moments are indexed by m >= 0")
+    if not ms:
+        return {}
+    top = max(ms) + 1
+    nodes, weights = gauss_legendre_01((top + 2) // 2)
+    v = path.direction
+    base = power_ladder(path.base, top)
+    total = np.zeros(top + 1, dtype=np.complex128)
+    for s_i, w_i in zip(nodes, weights):
+        diff = power_ladder(path.at(float(s_i)), top) - base
+        total += w_i * np.einsum("ab,kba->k", v, diff)
+    return {m: complex(total[m + 1] / (m + 1)) for m in ms}
 
 
 def eta_moment_linear(path: PerturbationPath, m: int) -> complex:
     """Contour moment c_m of the linear-path shift function, exactly.
 
-    The s-integrand is a polynomial of degree m+1, so ceil((m+2)/2)
-    Gauss-Legendre nodes integrate it exactly; the result is reproducible
-    bit for bit.
+    The one-member case of :func:`eta_moments_linear`: ceil((m+2)/2)
+    Gauss-Legendre nodes, one power ladder up to m+1 per node; the result
+    is reproducible bit for bit.
     """
-    if path.kind != LINEAR:
-        raise ValueError("moment route is defined for linear paths")
-    if m < 0:
-        raise ValueError("contour moments are indexed by m >= 0")
-    nodes, weights = gauss_legendre_01((m + 3) // 2)
-    t0 = path.base
-    v = path.direction
-    base_pow = np.linalg.matrix_power(t0, m + 1)
-    total = 0.0 + 0.0j
-    for s_i, w_i in zip(nodes, weights):
-        ts = path.at(float(s_i))
-        total += w_i * np.trace(v @ (np.linalg.matrix_power(ts, m + 1) - base_pow))
-    return complex(total / (m + 1))
-
-
-def eta_pointwise_linear(
-    path: PerturbationPath,
-    t: float,
-    degree: int,
-    s_nodes: int,
-) -> complex:
-    """Pointwise value of the linear-path shift function at angle t."""
-    if path.kind != LINEAR:
-        raise ValueError("pointwise route is defined for linear paths")
-    cfg = QuadConfig(s_nodes=s_nodes)
-    step = shift_step_representation(path, max_power=degree, cfg=cfg, degree=degree)
-    return complex(step(t))
+    return eta_moments_linear(path, [m])[m]
 
 
 def _mult_fourier_integrand(path: PerturbationPath, rs: list[int]):
-    t0 = path.base
+    # Tr[A (T_s^r - T_0^r)] for every r, adjoint powers for r < 0
     a = path.direction
-    base = {r: _signed_power(t0, r) for r in rs}
+    base = signed_powers(path.base, rs)
 
     def f(s: float) -> np.ndarray:
-        ts = path.at(s)
-        return np.array(
-            [np.trace(a @ (_signed_power(ts, r) - base[r])) for r in rs],
-            dtype=np.complex128,
-        )
+        return np.einsum("ab,rba->r", a, signed_powers(path.at(s), rs) - base)
 
     return f
-
-
-def _signed_power(t: np.ndarray, r: int) -> np.ndarray:
-    if r >= 0:
-        return np.linalg.matrix_power(t, r)
-    return np.linalg.matrix_power(t.conj().T, -r)
 
 
 def eta_tilde_moments_mult(
@@ -260,57 +246,6 @@ def eta_tilde_moments_mult(
     return {r: complex(val / (1j * r)) for r, val in zip(rs, value)}
 
 
-def eta_tilde_moment_mult(
-    path: PerturbationPath,
-    r: int,
-    tol: float = DEFAULT_QUAD.quad_tol,
-    max_depth: int = DEFAULT_QUAD.quad_max_depth,
-) -> complex:
-    """Single Fourier mode d_r of the multiplicative shift function."""
-    return eta_tilde_moments_mult(path, [r], tol=tol, max_depth=max_depth)[r]
-
-
-class ShiftFunction:
-    """Cached view of a path's shift function: moments plus a sampler.
-
-    Caches are append-only maps guarded by a lock; reads are safe from any
-    thread.
-    """
-
-    def __init__(self, path: PerturbationPath, cfg: QuadConfig = DEFAULT_QUAD):
-        self.path = path
-        self.cfg = cfg
-        self._moments: dict[int, complex] = {}
-        self._step: StepFunction | None = None
-        self._step_power = -1
-        self._lock = threading.Lock()
-
-    def moment(self, m: int) -> complex:
-        with self._lock:
-            if m not in self._moments:
-                if self.path.kind == LINEAR:
-                    self._moments[m] = eta_moment_linear(self.path, m)
-                else:
-                    self._moments[m] = (
-                        0.0 + 0.0j
-                        if m == 0
-                        else eta_tilde_moments_mult(
-                            self.path, [m], self.cfg.quad_tol, self.cfg.quad_max_depth
-                        )[m]
-                    )
-            return self._moments[m]
-
-    def step(self, max_power: int) -> StepFunction:
-        with self._lock:
-            if self._step is None or self._step_power < max_power:
-                self._step = shift_step_representation(self.path, max_power, self.cfg)
-                self._step_power = max_power
-            return self._step
-
-    def pointwise(self, t, max_power: int = 6):
-        return self.step(max_power)(t)
-
-
 def verify_trace_formula_linear(
     path: PerturbationPath,
     p: TrigPolynomial,
@@ -327,10 +262,11 @@ def verify_trace_formula_linear(
         raise ValueError("linear trace identity applies to analytic polynomials")
     start = time.perf_counter()
     lhs = path.second_order_trace(p)
+    moments = eta_moments_linear(path, [r - 2 for r, _ in p if r >= 2])
     rhs = 0.0 + 0.0j
     for r, c in p:
         if r >= 2:
-            rhs += c * r * (r - 1) * eta_moment_linear(path, r - 2)
+            rhs += c * r * (r - 1) * moments[r - 2]
     residual = abs(lhs - rhs)
     scale = 1.0 + abs(lhs)
     return VerificationReport(
@@ -409,7 +345,8 @@ def quotient_bound_test(
     rng = np.random.default_rng(seed)
     dir_sq = hs_norm(path.direction) ** 2
     if path.kind == LINEAR:
-        moments = np.array([eta_moment_linear(path, m) for m in range(max_deg + 1)])
+        moments = eta_moments_linear(path, range(max_deg + 1))
+        moments = np.array([moments[m] for m in range(max_deg + 1)])
 
         def pairing(coeffs: np.ndarray) -> complex:
             return complex(coeffs @ moments)
@@ -496,9 +433,6 @@ class RealLineShift:
 
     # -- pointwise values ------------------------------------------------
 
-    def eta(self, t):
-        return self.step(t)
-
     def gamma(self, t):
         t = np.asarray(t, dtype=np.float64)
         out = self.step(t) - np.exp(1j * t) * self.mean_mode
@@ -527,9 +461,6 @@ class RealLineShift:
         return out if out.ndim else complex(out)
 
     # -- pairings ----------------------------------------------------------
-
-    def eta_time_fourier(self, k: int) -> complex:
-        return self.step.time_fourier(k)
 
     def pairing_second_derivative(self, phi: TrigPolynomial) -> complex:
         """Circle-side value of the pairing of (d^2/dt^2) phi(e^{it}) with eta~.
@@ -611,9 +542,9 @@ class RealLineShift:
 
 def gamma_pipeline(
     path: PerturbationPath,
-    grid: int = DEFAULT_QUAD.grid,
+    grid: int = DEFAULT_GRID,
     max_power: int = 8,
-    cfg: QuadConfig | None = None,
+    cfg: QuadConfig = DEFAULT_QUAD,
     degree: int | None = None,
     require_unitary_endpoints: bool = True,
 ) -> RealLineShift:
@@ -633,13 +564,5 @@ def gamma_pipeline(
     if require_unitary_endpoints:
         if not (is_unitary(path.base) and is_unitary(path.at(1.0))):
             raise ValueError("path endpoints must be unitary")
-    base_cfg = cfg if cfg is not None else DEFAULT_QUAD
-    use_cfg = QuadConfig(
-        s_nodes=base_cfg.s_nodes,
-        degree_margin=base_cfg.degree_margin,
-        grid=max(grid, 256),
-        quad_tol=base_cfg.quad_tol,
-        quad_max_depth=base_cfg.quad_max_depth,
-    )
-    step = shift_step_representation(path, max_power, cfg=use_cfg, degree=degree)
+    step = shift_step_representation(path, max_power, cfg=cfg, degree=degree)
     return RealLineShift(step, grid=grid)

@@ -16,8 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .opcore import as_operator, hermitian_exp, hs_norm, is_hermitian, op_norm, trace_norm
-from .paths import LINEAR, PerturbationPath
+from .opcore import (
+    as_operator,
+    hermitian_exp,
+    hs_norm,
+    is_hermitian,
+    op_norm,
+    signed_powers,
+    trace_norm,
+)
+from .paths import PerturbationPath
 
 __all__ = [
     "ProjectionSequence",
@@ -144,6 +152,7 @@ def reduction_diagnostics(
     exp_a = hermitian_exp(a, 1.0)
     t = exp_a @ t0
     ks = [k for k in range(-power_cap, power_cap + 1) if k != 0]
+    pows_t, pows_t0 = signed_powers(t, ks), signed_powers(t0, ks)
     rows = []
     for rank in seq.ranks:
         p = seq.projection(rank)
@@ -153,10 +162,10 @@ def reduction_diagnostics(
         exp_an = hermitian_exp(a_n, 1.0)
         t_n = exp_an @ t0_n
         power_final = max(
-            hs_norm((_power(t, k) - _power(t_n, k)) @ p) for k in ks
+            hs_norm((x - y) @ p) for x, y in zip(pows_t, signed_powers(t_n, ks))
         )
         power_initial = max(
-            hs_norm((_power(t0, k) - _power(t0_n, k)) @ p) for k in ks
+            hs_norm((x - y) @ p) for x, y in zip(pows_t0, signed_powers(t0_n, ks))
         )
         remainder_gap = trace_norm((exp_a - 1j * a - exp_an + 1j * a_n) @ p)
         off = hs_norm(q @ a @ p)
@@ -178,12 +187,6 @@ def reduction_diagnostics(
     return rows
 
 
-def _power(t: np.ndarray, k: int) -> np.ndarray:
-    if k >= 0:
-        return np.linalg.matrix_power(t, k)
-    return np.linalg.matrix_power(t.conj().T, -k)
-
-
 def truncation_gap(
     seq: ProjectionSequence,
     path: PerturbationPath,
@@ -203,26 +206,14 @@ def truncation_gap(
     dim = seq.ambient_dim
     if path.dim != dim:
         raise ValueError("path dimension does not match the ambient dimension")
-    full = _second_order_matrix(path, p)
+    full = path.second_order_difference(p)
     rows = []
     for rank in seq.ranks:
         proj = seq.projection(rank)
         base_n = proj @ path.base @ proj
         dir_n = proj @ path.direction @ proj
-        if path.kind == LINEAR:
-            path_n = PerturbationPath.linear(base_n, dir_n)
-        else:
-            path_n = PerturbationPath.multiplicative(base_n, dir_n)
-        compressed = proj @ _second_order_matrix(path_n, p) @ proj
+        path_n = PerturbationPath(path.kind, base_n, dir_n)
+        compressed = proj @ path_n.second_order_difference(p) @ proj
         rows.append({"rank": float(rank), "gap": trace_norm(full - compressed)})
     return rows
 
-
-def _second_order_matrix(path: PerturbationPath, p) -> np.ndarray:
-    from .opcore import apply_function
-
-    return (
-        apply_function(p, path.at(1.0))
-        - apply_function(p, path.base)
-        - path.gateaux(p)
-    )

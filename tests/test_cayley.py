@@ -137,6 +137,34 @@ class TestWPath:
             w_path(pair, 1.5)
 
 
+class TestPairs:
+    def test_dissipative_pair_rejects_non_dissipative_operand(self):
+        l0 = np.array([[0.5 + 1j]])
+        for l, l0_ in ((np.array([[-1j]]), l0), (l0, np.array([[-1j]]))):
+            with pytest.raises(ValueError):
+                DissipativePair(l, l0_)
+
+    def test_dissipative_pair_rejects_eigenvalue_one(self):
+        with pytest.raises(DegenerateTransformError):
+            DissipativePair(np.zeros((2, 2)), 1j * np.eye(2))
+
+    def test_transforms_kept_from_construction(self):
+        rng = np.random.default_rng(7)
+        h, h0 = sampling.random_hermitian(rng, 3), sampling.random_hermitian(rng, 3)
+        sa = SelfAdjointPair(h, h0)
+        l, l0 = sampling.random_dissipative(rng, 3), sampling.random_dissipative(rng, 3)
+        diss = DissipativePair(l, l0)
+        for pair, want in ((sa, (cayley_sa(h), cayley_sa(h0))),
+                           (diss, (cayley_dissipative(l), cayley_dissipative(l0)))):
+            got = pair.transforms()
+            assert got is pair.transforms()
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y)
+            path = pair.circle_path()
+            assert np.array_equal(path.base, want[1])
+            assert np.array_equal(path.direction, want[0] - want[1])
+
+
 class TestFunctionBridge:
     def test_mobius_composition_identity(self):
         # psi(H) = phi(U) as matrices, checked by diagonalizing H

@@ -4,13 +4,17 @@ import json
 import numpy as np
 import pytest
 
+from specshift import shift
+from specshift.cayley import CIRCLE_TOL, REAL_LINE_TOL
 from specshift.cli import (
     CampaignConfig,
+    Tolerances,
     emit_shift_samples,
     main,
     run_campaign,
     run_diagnose,
 )
+from specshift.quadrature import QuadratureError
 from specshift.report import CSV_COLUMNS
 
 
@@ -30,6 +34,15 @@ class TestConfig:
         cfg.tolerances.trace_formula = 0.0
         with pytest.raises(ValueError):
             cfg.validate()
+
+    def test_tolerance_defaults_are_the_library_constants(self):
+        assert Tolerances() == Tolerances(
+            trace_formula=shift.TRACE_TOL_LINEAR,
+            trace_formula_mult=shift.TRACE_TOL_MULT,
+            bound_slack=shift.BOUND_SLACK,
+            circle=CIRCLE_TOL,
+            realline=REAL_LINE_TOL,
+        )
 
     def test_flags_override_file(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -224,3 +237,27 @@ class TestReportCommand:
         assert "linear" in printed
         summary = json.loads((out / "summary.json").read_text())
         assert summary["kinds"]["linear"]["failed"] == 0
+
+    def test_quadrature_failure_round_trips_as_strict_json(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise QuadratureError("forced failure", None, float("inf"))
+
+        monkeypatch.setattr(shift, "adaptive_gk15", fail)
+        out = tmp_path / "o"
+        assert main(["verify", "--kind", "mult", "--trials", "2", "--out", str(out)]) == 1
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        entries = json.loads((out / "reports.json").read_text(), parse_constant=refuse)
+        assert all(e["verdict"] == "fail" for e in entries)
+        assert all(e["residual"] is None for e in entries)
+        assert all(e["rhs"]["re"] is None for e in entries)
+        assert all(e["extras"]["quadrature_estimate"] is None for e in entries)
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["residual"] for r in rows] == ["inf", "inf"]
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert "mult: 0/2 pass" in printed.out and printed.err == ""

@@ -12,6 +12,8 @@ from specshift import (
     hermitian_exp,
     hs_norm,
     is_contraction,
+    power_ladder,
+    signed_powers,
     trace_norm,
 )
 from specshift import sampling
@@ -199,3 +201,45 @@ class TestHermitianExp:
         a = sampling.random_hermitian(np.random.default_rng(9), 5)
         u = hermitian_exp(a, 0.7)
         assert hs_norm(u.conj().T @ u - np.eye(5)) < 1e-10
+
+
+class TestPowerLadder:
+    def test_matches_matrix_power(self):
+        t = sampling.random_contraction(np.random.default_rng(10), 4)
+        ladder = power_ladder(t, 7)
+        assert ladder.shape == (8, 4, 4)
+        for k in range(8):
+            assert_allclose(ladder[k], np.linalg.matrix_power(t, k), atol=1e-13)
+
+    def test_stacked_input(self):
+        rng = np.random.default_rng(11)
+        ts = np.stack([sampling.random_contraction(rng, 3) for _ in range(5)])
+        ladder = power_ladder(ts, 4)
+        assert ladder.shape == (5, 5, 3, 3)
+        for j, t in enumerate(ts):
+            assert np.array_equal(ladder[:, j], power_ladder(t, 4))
+            for k in range(5):
+                assert_allclose(ladder[k, j], np.linalg.matrix_power(t, k), atol=1e-13)
+
+    def test_kmax_zero_is_identity(self):
+        t = sampling.random_contraction(np.random.default_rng(12), 3)
+        ladder = power_ladder(t, 0)
+        assert ladder.shape == (1, 3, 3)
+        assert np.array_equal(ladder[0], np.eye(3))
+        with pytest.raises(ValueError):
+            power_ladder(t, -1)
+
+    def test_adjoint_ladder(self):
+        t = sampling.random_contraction(np.random.default_rng(13), 3)
+        ladder = power_ladder(t.conj().T, 5)
+        for k in range(6):
+            assert_allclose(ladder[k], np.linalg.matrix_power(t, k).conj().T, atol=1e-13)
+
+    def test_signed_powers(self):
+        t = sampling.random_contraction(np.random.default_rng(14), 3)
+        ks = [3, -2, 0, 1, -1]
+        stack = signed_powers(t, ks)
+        assert stack.shape == (5, 3, 3)
+        for got, k in zip(stack, ks):
+            want = np.linalg.matrix_power(t if k >= 0 else t.conj().T, abs(k))
+            assert_allclose(got, want, atol=1e-13)

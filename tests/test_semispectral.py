@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from specshift import (
     SemiSpectralCDF,
-    cdf_eval,
     hs_norm,
     moment_residual,
     semispectral_cdf,
@@ -107,13 +106,13 @@ class TestCdfEval:
         rng = np.random.default_rng(7)
         t = sampling.random_contraction(rng, 3)
         cdf = semispectral_cdf(t, 4)
-        assert_allclose(cdf_eval(cdf, 0.0), np.zeros((3, 3)))
-        assert_allclose(cdf_eval(cdf, 2 * np.pi), np.eye(3), atol=1e-9)
+        assert_allclose(cdf.value(0.0), np.zeros((3, 3)))
+        assert_allclose(cdf.value(2 * np.pi), np.eye(3), atol=1e-9)
 
     def test_zero_contraction_midpoint(self):
         cdf = semispectral_cdf(np.zeros((1, 1)), 3)
         # two of the four jumps lie at or below pi
-        assert cdf_eval(cdf, np.pi)[0, 0].real == pytest.approx(0.5)
+        assert cdf.value(np.pi)[0, 0].real == pytest.approx(0.5)
 
     def test_outside_domain(self):
         cdf = semispectral_cdf(np.zeros((1, 1)), 2)

@@ -7,12 +7,10 @@ from specshift import (
     QuadConfig,
     QuadratureError,
     RealLineShift,
-    ShiftFunction,
     StepFunction,
     TrigPolynomial,
     eta_moment_linear,
-    eta_pointwise_linear,
-    eta_tilde_moment_mult,
+    eta_moments_linear,
     eta_tilde_moments_mult,
     gamma_pipeline,
     gauss_legendre_01,
@@ -66,19 +64,41 @@ class TestLinearMoments:
         with pytest.raises(ValueError):
             eta_moment_linear(path, -1)
 
+    def test_batched_moments_match_one_at_a_time(self):
+        # one Gauss-Legendre rule exact for the highest moment serves them all
+        rng = np.random.default_rng(32)
+        for d in (1, 3, 5):
+            path = sampling.random_linear_path(rng, d)
+            ms = [0, 2, 3, 6, 9]
+            batched = eta_moments_linear(path, ms)
+            assert sorted(batched) == ms
+            for m in ms:
+                single = eta_moment_linear(path, m)
+                assert abs(batched[m] - single) <= 1e-13 * (1.0 + abs(single))
+        assert eta_moments_linear(path, []) == {}
+
+    def test_batched_moments_refuse_bad_input(self):
+        with pytest.raises(ValueError):
+            eta_moments_linear(scalar_linear(0.0, 0.5), [0, -1])
+        mult = PerturbationPath.multiplicative(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError):
+            eta_moments_linear(mult, [0])
+
 
 class TestPointwiseLinear:
     def test_endpoint_values_vanish(self):
         rng = np.random.default_rng(2)
         path = sampling.random_linear_path(rng, 3)
-        assert abs(eta_pointwise_linear(path, 0.0, degree=4, s_nodes=8)) < 1e-12
-        assert abs(eta_pointwise_linear(path, 2 * np.pi, degree=4, s_nodes=8)) < 1e-8
+        step = shift_step_representation(path, max_power=4, cfg=QuadConfig(s_nodes=8), degree=4)
+        assert abs(step(0.0)) < 1e-12
+        assert abs(step(2 * np.pi)) < 1e-8
 
     def test_zero_direction(self):
         rng = np.random.default_rng(3)
         path = PerturbationPath.linear(sampling.random_contraction(rng, 3), np.zeros((3, 3)))
+        step = shift_step_representation(path, max_power=3, cfg=QuadConfig(s_nodes=4), degree=3)
         for t in (0.5, 2.0, 5.0):
-            assert eta_pointwise_linear(path, t, degree=3, s_nodes=4) == 0
+            assert step(t) == 0
 
     def test_route_agreement(self):
         # contour moments of the dilation-built pointwise representation
@@ -99,7 +119,7 @@ class TestMultiplicativeMoments:
             sampling.random_contraction(rng, 3), np.zeros((3, 3))
         )
         for r in (-2, -1, 1, 2):
-            assert eta_tilde_moment_mult(path, r) == 0
+            assert eta_tilde_moments_mult(path, [r])[r] == 0
 
     def test_zero_base(self):
         rng = np.random.default_rng(6)
@@ -107,7 +127,7 @@ class TestMultiplicativeMoments:
             np.zeros((3, 3)), sampling.random_hermitian(rng, 3)
         )
         for r in (-1, 1, 3):
-            assert eta_tilde_moment_mult(path, r) == pytest.approx(0.0, abs=1e-12)
+            assert eta_tilde_moments_mult(path, [r])[r] == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_closed_form(self):
         # T0 = [[1]], A = [[pi]]:
@@ -116,7 +136,7 @@ class TestMultiplicativeMoments:
         path = PerturbationPath.multiplicative(
             np.array([[1.0 + 0j]]), np.array([[np.pi + 0j]])
         )
-        got = eta_tilde_moment_mult(path, 1)
+        got = eta_tilde_moments_mult(path, [1])[1]
 
         def integrand_re(s):
             return (np.pi * (np.exp(1j * s * np.pi) - 1) / 1j).real
@@ -132,7 +152,7 @@ class TestMultiplicativeMoments:
         rng = np.random.default_rng(7)
         path = sampling.random_multiplicative_path(rng, 2)
         with pytest.raises(ValueError):
-            eta_tilde_moment_mult(path, 0)
+            eta_tilde_moments_mult(path, [0])
 
     def test_real_valuedness_conjugate_symmetry(self):
         rng = np.random.default_rng(8)
@@ -146,7 +166,7 @@ class TestMultiplicativeMoments:
         rng = np.random.default_rng(9)
         path = sampling.random_multiplicative_path(rng, 3)
         with pytest.raises(QuadratureError) as info:
-            eta_tilde_moment_mult(path, 2, tol=1e-16, max_depth=0)
+            eta_tilde_moments_mult(path, [2], tol=1e-16, max_depth=0)
         assert info.value.estimate > 0
 
 
@@ -300,7 +320,7 @@ class TestGammaPipeline:
         path = PerturbationPath.linear(u0, np.zeros((3, 3)))
         line = gamma_pipeline(path, grid=512, max_power=4)
         t = np.linspace(0, 2 * np.pi, 7)
-        assert np.allclose(line.eta(t), 0)
+        assert np.allclose(line.step(t), 0)
         assert np.allclose(line.eta_tilde(t), 0, atol=1e-12)
         assert np.allclose(line.xi(np.array([-2.0, 0.0, 3.0])), 0, atol=1e-12)
 
@@ -383,26 +403,3 @@ class TestGammaPipeline:
         monkeypatch.setattr(StepFunction, "time_fourier", corrupted)
         with pytest.raises(PipelineError):
             RealLineShift(step, grid=512)
-
-
-class TestShiftFunctionCache:
-    def test_moments_cached_and_consistent(self):
-        rng = np.random.default_rng(29)
-        path = sampling.random_linear_path(rng, 3)
-        sf = ShiftFunction(path)
-        first = sf.moment(3)
-        assert sf.moment(3) == first
-        assert first == pytest.approx(eta_moment_linear(path, 3))
-
-    def test_multiplicative_constant_mode_is_zero(self):
-        rng = np.random.default_rng(30)
-        path = sampling.random_multiplicative_path(rng, 3)
-        sf = ShiftFunction(path)
-        assert sf.moment(0) == 0
-
-    def test_pointwise_sampler(self):
-        rng = np.random.default_rng(31)
-        path = sampling.random_linear_path(rng, 3)
-        sf = ShiftFunction(path)
-        val = sf.pointwise(1.0, max_power=4)
-        assert np.isfinite(abs(val))

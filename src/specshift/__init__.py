@@ -41,7 +41,6 @@ from .semispectral import (
 )
 from .shift import (
     PipelineError,
-    QuadConfig,
     RealLineShift,
     StepFunction,
     eta_moment_linear,

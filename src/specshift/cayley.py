@@ -22,14 +22,7 @@ import numpy as np
 from .opcore import TrigPolynomial, as_operator, hs_norm, is_contraction, is_hermitian, is_unitary
 from .paths import PerturbationPath
 from .report import VerificationReport
-from .shift import (
-    DEFAULT_GRID,
-    DEFAULT_QUAD,
-    QuadConfig,
-    RealLineShift,
-    gamma_pipeline,
-    mobius_polynomial_weight,
-)
+from .shift import DEFAULT_GRID, RealLineShift, gamma_pipeline, mobius_polynomial_weight
 
 __all__ = [
     "SelfAdjointPair",
@@ -199,7 +192,6 @@ def _verify_polynomial(
     path: PerturbationPath,
     phi: TrigPolynomial,
     grid: int,
-    cfg: QuadConfig,
     seed: int | None,
     unitary_endpoints: bool,
     circle_tol: float,
@@ -215,7 +207,6 @@ def _verify_polynomial(
         path,
         grid=grid,
         max_power=max(phi.max_index, 1),
-        cfg=cfg,
         require_unitary_endpoints=unitary_endpoints,
     )
     rhs_a = line.pairing_second_derivative(phi)
@@ -249,7 +240,6 @@ def verify_selfadjoint_formula(
     pair: SelfAdjointPair,
     phi: TrigPolynomial,
     grid: int = DEFAULT_GRID,
-    cfg: QuadConfig = DEFAULT_QUAD,
     seed: int | None = None,
     circle_tol: float = CIRCLE_TOL,
     realline_tol: float = REAL_LINE_TOL,
@@ -267,7 +257,6 @@ def verify_selfadjoint_formula(
         pair.circle_path(),
         phi,
         grid,
-        cfg,
         seed,
         unitary_endpoints=True,
         circle_tol=circle_tol,
@@ -279,7 +268,6 @@ def verify_dissipative_formula(
     pair: DissipativePair,
     phi: TrigPolynomial,
     grid: int = DEFAULT_GRID,
-    cfg: QuadConfig = DEFAULT_QUAD,
     seed: int | None = None,
     circle_tol: float = CIRCLE_TOL,
     realline_tol: float = REAL_LINE_TOL,
@@ -291,7 +279,6 @@ def verify_dissipative_formula(
         pair.circle_path(),
         phi,
         grid,
-        cfg,
         seed,
         unitary_endpoints=False,
         circle_tol=circle_tol,
@@ -302,7 +289,6 @@ def verify_dissipative_formula(
 def resolvent_pipeline(
     pair: SelfAdjointPair,
     grid: int = DEFAULT_GRID,
-    cfg: QuadConfig = DEFAULT_QUAD,
     degree: int = RESOLVENT_DEGREE,
 ) -> RealLineShift:
     """Shift pipeline of a pair at resolvent-grade dilation degree.
@@ -310,16 +296,13 @@ def resolvent_pipeline(
     Build once and hand to :func:`verify_resolvent_formula` when checking
     several points z for the same pair.
     """
-    return gamma_pipeline(
-        pair.circle_path(), grid=grid, max_power=degree, cfg=cfg, degree=degree
-    )
+    return gamma_pipeline(pair.circle_path(), grid=grid, max_power=degree, degree=degree)
 
 
 def verify_resolvent_formula(
     pair: SelfAdjointPair,
     z: complex,
     grid: int = DEFAULT_GRID,
-    cfg: QuadConfig = DEFAULT_QUAD,
     degree: int = RESOLVENT_DEGREE,
     tol: float = RESOLVENT_TOL,
     seed: int | None = None,
@@ -352,7 +335,7 @@ def verify_resolvent_formula(
     x = (1j * eye + h0) @ np.linalg.inv(h0 - z * eye)
     lhs = complex(np.trace(rz - r0z - x @ m @ x))
     if line is None:
-        line = resolvent_pipeline(pair, grid=grid, cfg=cfg, degree=degree)
+        line = resolvent_pipeline(pair, grid=grid, degree=degree)
 
     def weight(lam):
         lam = np.asarray(lam, dtype=np.complex128)

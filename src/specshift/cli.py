@@ -51,6 +51,7 @@ from .truncate import (
 )
 
 KINDS = ("linear", "mult", "cayley_sa", "cayley_diss", "dilation", "truncate")
+ETA_KINDS = ("linear", "mult", "cayley_sa", "cayley_diss")  # the kinds with shift samples
 
 # Fixed tolerances of the dilation and truncate verdicts (no config key).
 DILATION_TOL = 1e-9          # unitarity and power compression of the N-dilation
@@ -219,14 +220,14 @@ def _trial_dilation(cfg: CampaignConfig, i: int) -> VerificationReport:
     start = time.perf_counter()
     dim = _pick(rng, cfg.dims)
     t = sampling.random_contraction(rng, dim)
-    t0 = sampling.random_contraction(rng, dim)
+    t0 = t if cfg.zero_direction else sampling.random_contraction(rng, dim)
     degree = max(_pick(rng, cfg.degrees), 1)
     dil = n_dilation(t, degree)
     eye = np.eye(dil.unitary.shape[0])
     unitarity = hs_norm(dil.unitary.conj().T @ dil.unitary - eye)
-    powers = power_ladder(t, degree + 1)
-    compression = max(hs_norm(dil.compression(k) - powers[k]) for k in range(degree + 1))
-    overshoot = hs_norm(dil.compression(degree + 1) - powers[degree + 1])
+    gaps = power_ladder(dil.unitary, degree + 1)[:, :dim, :dim] - power_ladder(t, degree + 1)
+    compression = max(hs_norm(gap) for gap in gaps[: degree + 1])
+    overshoot = hs_norm(gaps[degree + 1])
     closed = hs_difference_schaffer(t, t0)
     k_win = max(degree, 1)
     windowed = hs_norm(
@@ -259,22 +260,28 @@ def _trial_dilation(cfg: CampaignConfig, i: int) -> VerificationReport:
     )
 
 
+def _truncation_setup(rng: np.random.Generator, dim: int, ranks, seed: int, zero_direction: bool):
+    # normal N0, perturbation V, generator A (V = A = 0 for a zero direction),
+    # the rotated projection ladder, its diagnostics and the path from N0 + V along A
+    n0 = 0.8 * sampling.random_normal_contraction(rng, dim)
+    v = np.zeros((dim, dim)) if zero_direction else 0.05 * sampling.complex_gaussian(rng, dim)
+    a = np.zeros((dim, dim)) if zero_direction else sampling.random_hermitian(rng, dim, cap=1.0)
+    seq = build_projections(n0, ranks, rotate=True, seed=seed)
+    rows = reduction_diagnostics(seq, n0, v, a)
+    base = n0 + v
+    scale = 1.0 / max(1.0, np.linalg.norm(base, 2) * 1.01)
+    return seq, rows, PerturbationPath.multiplicative(scale * base, a)
+
+
 def _trial_truncate(cfg: CampaignConfig, i: int) -> VerificationReport:
     rng = _trial_rng(cfg.seed, i)
     start = time.perf_counter()
     dim = max(_pick(rng, cfg.dims), 2)
-    n0 = 0.8 * sampling.random_normal_contraction(rng, dim)
-    v = 0.05 * sampling.complex_gaussian(rng, dim)
-    a = sampling.random_hermitian(rng, dim, cap=1.0)
     ranks = sorted(set([max(1, dim // 2), dim]))
-    seq = build_projections(n0, ranks, rotate=True, seed=i)
-    rows = reduction_diagnostics(seq, n0, v, a)
+    seq, rows, path = _truncation_setup(rng, dim, ranks, i, cfg.zero_direction)
     bound_ok = all(
         row["exp_remainder_gap"] <= row["exp_remainder_bound"] + REMAINDER_SLACK for row in rows
     )
-    base = n0 + v
-    scale = 1.0 / max(1.0, np.linalg.norm(base, 2) * 1.01)
-    path = PerturbationPath.multiplicative(scale * base, a)
     deg = max(_pick(rng, cfg.degrees), 1)
     gaps = truncation_gap(seq, path, TrigPolynomial({deg: 1.0}))
     full_gap = gaps[-1]["gap"]
@@ -348,6 +355,8 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
     ``grid`` rows including both endpoints; transform kinds produce
     (lambda, re_xi, im_xi) on the half-angle pullback of a midpoint grid.
     """
+    if cfg.kind not in ETA_KINDS:
+        raise ValueError(f"eta emits samples for the kinds {ETA_KINDS}, not {cfg.kind!r}")
     rng = _trial_rng(cfg.seed, 0)
     dim = _pick(rng, cfg.dims)
     out = Path(cfg.out)
@@ -361,10 +370,12 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
         vals = step(t)
         header = "t,re_eta,im_eta"
         cols = (t, vals.real, vals.imag)
-    elif cfg.kind in ("cayley_sa", "cayley_diss"):
+    else:
         sa = cfg.kind == "cayley_sa"
         sample = sampling.random_hermitian if sa else sampling.random_dissipative
-        pair = (SelfAdjointPair if sa else DissipativePair)(sample(rng, dim), sample(rng, dim))
+        x = sample(rng, dim)
+        x0 = x if cfg.zero_direction else sample(rng, dim)
+        pair = (SelfAdjointPair if sa else DissipativePair)(x, x0)
         line = gamma_pipeline(
             pair.circle_path(),
             grid=cfg.grid,
@@ -376,8 +387,6 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
         vals = 0.5 * line.eta_tilde(t)
         header = "lambda,re_xi,im_xi"
         cols = (lam, vals.real, vals.imag)
-    else:
-        raise ValueError(f"kind {cfg.kind!r} does not emit shift samples")
     with open(path_file, "w") as fh:
         fh.write(header + "\n")
         for row in zip(*cols):
@@ -389,15 +398,8 @@ def run_diagnose(cfg: CampaignConfig) -> Path:
     """Write per-rank truncation diagnostics to CSV (one row per rank)."""
     rng = _trial_rng(cfg.seed, 0)
     dim = max(max(cfg.dims), 2)
-    n0 = 0.8 * sampling.random_normal_contraction(rng, dim)
-    v = np.zeros((dim, dim)) if cfg.zero_direction else 0.05 * sampling.complex_gaussian(rng, dim)
-    a = np.zeros((dim, dim)) if cfg.zero_direction else sampling.random_hermitian(rng, dim, cap=1.0)
     ranks = sorted(set(list(range(1, dim + 1, max(1, dim // 4))) + [dim]))
-    seq = build_projections(n0, ranks, rotate=True, seed=cfg.seed)
-    rows = reduction_diagnostics(seq, n0, v, a)
-    base = n0 + v
-    scale = 1.0 / max(1.0, np.linalg.norm(base, 2) * 1.01)
-    path = PerturbationPath.multiplicative(scale * base, a)
+    seq, rows, path = _truncation_setup(rng, dim, ranks, cfg.seed, cfg.zero_direction)
     gaps = truncation_gap(seq, path, TrigPolynomial({max(cfg.degrees): 1.0}))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -475,6 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = CampaignConfig.from_sources(args)
+        if args.command == "eta" and cfg.kind not in ETA_KINDS:
+            raise ValueError(f"eta emits samples for the kinds {ETA_KINDS}, not {cfg.kind!r}")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

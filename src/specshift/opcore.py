@@ -125,18 +125,18 @@ class DefectPair:
     d_tstar: np.ndarray
 
 
-def defects(t, clamp: float = DEFECT_CLAMP) -> DefectPair:
+def defects(t) -> DefectPair:
     """Build both defect operators of a contraction from one SVD.
 
     With T = W S X*, the defects are X sqrt(I-S^2) X* and W sqrt(I-S^2) W*,
     which makes the intertwining T D_T = D_T* T hold to rounding.  Squared
-    singular values above 1 by at most ``clamp`` are flushed to 1; a larger
-    excess raises :class:`NotAContractionError`.
+    singular values above 1 by at most ``DEFECT_CLAMP`` are flushed to 1; a
+    larger excess raises :class:`NotAContractionError`.
     """
-    return defects_from_svd(*np.linalg.svd(as_operator(t)), clamp=clamp)
+    return defects_from_svd(*np.linalg.svd(as_operator(t)))
 
 
-def defects_from_svd(w, sig, xh, clamp: float = DEFECT_CLAMP) -> DefectPair:
+def defects_from_svd(w, sig, xh) -> DefectPair:
     """Defect operators from an SVD ``W S X*`` computed by the caller.
 
     Works on one SVD or on a stack of them (leading axes), so callers that
@@ -144,7 +144,7 @@ def defects_from_svd(w, sig, xh, clamp: float = DEFECT_CLAMP) -> DefectPair:
     factorization.  Clamping and the raise are as in :func:`defects`.
     """
     gap = (1.0 - sig) * (1.0 + sig)  # eigenvalues of I - T*T, accurately
-    if gap.size and gap.min(initial=0.0) < -clamp:
+    if gap.size and gap.min(initial=0.0) < -DEFECT_CLAMP:
         raise NotAContractionError(
             f"largest singular value {sig.max():.12g} exceeds 1 beyond the clamp"
         )
@@ -174,10 +174,6 @@ class TrigPolynomial:
                 cleaned[k] = c
         self._coeffs = dict(sorted(cleaned.items()))
 
-    @classmethod
-    def monomial(cls, k: int, coeff: complex = 1.0) -> "TrigPolynomial":
-        return cls({k: coeff})
-
     @property
     def coeffs(self) -> dict[int, complex]:
         return dict(self._coeffs)
@@ -202,14 +198,6 @@ class TrigPolynomial:
     @property
     def max_index(self) -> int:
         return max(self._coeffs, default=0)
-
-    @property
-    def min_index(self) -> int:
-        return min(self._coeffs, default=0)
-
-    @property
-    def max_abs_index(self) -> int:
-        return max((abs(k) for k in self._coeffs), default=0)
 
     def second_moment_weight(self) -> float:
         """sum_k k^2 |c_k|, the membership weight of the C^2 symbol class."""
@@ -237,9 +225,9 @@ class TrigPolynomial:
             raise ValueError("derivative in z requires an analytic symbol")
         return TrigPolynomial({k - 1: k * c for k, c in self._coeffs.items() if k != 0})
 
-    def sup_norm_estimate(self, grid: int = SUP_NORM_GRID) -> float:
-        """Max of |f| over a uniform angle grid (an estimate, not the sup)."""
-        t = np.arange(grid) * (2.0 * np.pi / grid)
+    def sup_norm_estimate(self) -> float:
+        """Max of |f| over ``SUP_NORM_GRID`` uniform angles (an estimate, not the sup)."""
+        t = np.arange(SUP_NORM_GRID) * (2.0 * np.pi / SUP_NORM_GRID)
         return float(np.abs(self.at_angle(t)).max(initial=0.0))
 
 

@@ -19,7 +19,6 @@ chunks of at most ``_CHUNK_ENTRIES`` matrix entries per stacked array.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,15 +81,15 @@ class SemiSpectralCDF:
         if hs_norm(blocks.sum(axis=0) - np.eye(self.dim)) > MASS_TOL:
             raise ValueError("jump blocks must sum to the identity")
 
-    def validate(self, psd_tol: float = PSD_TOL) -> None:
-        """Full invariant check (PSD of every jump); raises on violation."""
+    def validate(self) -> None:
+        """Full invariant check (PSD of every jump within ``PSD_TOL``); raises on violation."""
         if self.blocks.size:
             herm = float(np.abs(self.blocks - self.blocks.conj().transpose(0, 2, 1)).max())
-            if herm > 10 * psd_tol:
+            if herm > 10 * PSD_TOL:
                 raise ValueError(f"jump blocks not Hermitian: deviation {herm:.3e}")
             sym = 0.5 * (self.blocks + self.blocks.conj().transpose(0, 2, 1))
             low = float(np.linalg.eigvalsh(sym).min())
-            if low < -psd_tol:
+            if low < -PSD_TOL:
                 raise ValueError(f"jump block eigenvalue {low:.3e} below PSD tolerance")
 
     def value(self, t: float) -> np.ndarray:
@@ -102,43 +101,17 @@ class SemiSpectralCDF:
             return np.zeros((self.dim, self.dim), dtype=np.complex128)
         return self.blocks[:idx].sum(axis=0)
 
-    def moment(self, n: int) -> np.ndarray:
-        """sum_j e^{i n t_j} J_j; reproduces T^n (adjoint powers for n < 0)."""
-        phases = np.exp(1j * n * self.angles)
-        return np.einsum("j,jab->ab", phases, self.blocks)
-
     def moments(self, ns) -> np.ndarray:
+        """sum_j e^{i n t_j} J_j, n in ``ns``; reproduces T^n (adjoint powers for n < 0)."""
         ns = np.asarray(ns)
         phases = np.exp(1j * np.multiply.outer(ns, self.angles))
         return np.einsum("nj,jab->nab", phases, self.blocks)
 
-    def to_json(self) -> str:
-        jumps = [
-            {
-                "angle": float(a),
-                "block_real": b.real.tolist(),
-                "block_imag": b.imag.tolist(),
-            }
-            for a, b in zip(self.angles, self.blocks)
-        ]
-        return json.dumps({"dim": self.dim, "jumps": jumps})
 
-    @classmethod
-    def from_json(cls, text: str) -> "SemiSpectralCDF":
-        data = json.loads(text)
-        dim = int(data["dim"])
-        angles = np.array([j["angle"] for j in data["jumps"]], dtype=np.float64)
-        blocks = np.array(
-            [np.array(j["block_real"]) + 1j * np.array(j["block_imag"]) for j in data["jumps"]],
-            dtype=np.complex128,
-        ).reshape(len(data["jumps"]), dim, dim)
-        return cls(dim=dim, angles=angles, blocks=blocks)
-
-
-def _wrap_angles(ang: np.ndarray, cluster_tol: float) -> np.ndarray:
+def _wrap_angles(ang: np.ndarray) -> np.ndarray:
     # map raw eigenangles into (0, 2pi]; snap a neighbourhood of 1 to 2pi
     ang = np.mod(ang, 2.0 * np.pi)
-    near_one = (ang < cluster_tol) | (2.0 * np.pi - ang < cluster_tol)
+    near_one = (ang < CLUSTER_TOL) | (2.0 * np.pi - ang < CLUSTER_TOL)
     return np.where(near_one, 2.0 * np.pi, ang)
 
 
@@ -233,23 +206,23 @@ def _unitary_eigh(u: np.ndarray):
     raise np.linalg.LinAlgError("rotated Cayley eigensolve failed at every pole placement")
 
 
-def _jump_lists(ang, vec, compress_dim: int, cluster_tol: float, drop_tol: float):
+def _jump_lists(ang, vec, compress_dim: int, drop_tol: float):
     """Cluster each member's eigenangles and compress its eigenprojections.
 
     Angles are wrapped into (0, 2pi] and sorted per member.  A cluster starts
     at each member's first angle and wherever consecutive angles differ by
-    more than ``cluster_tol``; its block sums the rank-one compressions z z*
+    more than ``CLUSTER_TOL``; its block sums the rank-one compressions z z*
     of its eigenvectors and its angle is the mean of its angles.  Blocks of
     Hilbert-Schmidt norm at most ``drop_tol`` carry no mass and are dropped.
     Returns one (angles, blocks) pair per member.
     """
     k, m = ang.shape
-    ang = _wrap_angles(ang, cluster_tol)
+    ang = _wrap_angles(ang)
     order = np.argsort(ang, axis=1, kind="stable")
     ang = np.take_along_axis(ang, order, axis=1)
     z = np.take_along_axis(vec[:, :compress_dim, :], order[:, None, :], axis=2)
     first = np.ones((k, m), dtype=bool)
-    first[:, 1:] = np.diff(ang, axis=1) > cluster_tol
+    first[:, 1:] = np.diff(ang, axis=1) > CLUSTER_TOL
     starts = np.flatnonzero(first)
     outer = np.einsum("kaj,kbj->kjab", z, z.conj()).reshape(k * m, compress_dim, compress_dim)
     blocks = np.add.reduceat(outer, starts, axis=0)
@@ -263,13 +236,13 @@ def _jump_lists(ang, vec, compress_dim: int, cluster_tol: float, drop_tol: float
     return out
 
 
-def spectral_cdf_unitary(u, cluster_tol: float = CLUSTER_TOL) -> SemiSpectralCDF:
+def spectral_cdf_unitary(u) -> SemiSpectralCDF:
     """Jump spectral measure of a finite unitary, eigenvalue 1 at angle 2pi."""
     u = as_operator(u)
     if not is_unitary(u):
         raise ValueError("input is not unitary within tolerance")
     ang, vec = _unitary_eigh(u[None])
-    [(angles, blocks)] = _jump_lists(ang, vec, u.shape[0], cluster_tol, drop_tol=-1.0)
+    [(angles, blocks)] = _jump_lists(ang, vec, u.shape[0], drop_tol=-1.0)
     return SemiSpectralCDF(dim=u.shape[0], angles=angles, blocks=blocks)
 
 
@@ -286,7 +259,7 @@ def moment_residual(cdf: SemiSpectralCDF, t: np.ndarray, nmax: int) -> float:
     return float(_moment_residuals([cdf], as_operator(t)[None], nmax)[0])
 
 
-def semispectral_cdfs(ts, n: int, cluster_tol: float = CLUSTER_TOL) -> list[SemiSpectralCDF]:
+def semispectral_cdfs(ts, n: int) -> list[SemiSpectralCDF]:
     """Semi-spectral cumulative functions of a stack of contractions via N-dilations.
 
     The eigenprojections of each member's degree-N dilation unitary are
@@ -309,7 +282,7 @@ def semispectral_cdfs(ts, n: int, cluster_tol: float = CLUSTER_TOL) -> list[Semi
         ang, vec = _unitary_eigh(dilation_unitaries(chunk, n))
         found = [
             SemiSpectralCDF(dim=d, angles=angles, blocks=blocks)
-            for angles, blocks in _jump_lists(ang, vec, d, cluster_tol, _DROP_TOL)
+            for angles, blocks in _jump_lists(ang, vec, d, _DROP_TOL)
         ]
         residual = _moment_residuals(found, chunk, n).max()
         if residual > MOMENT_FAIL:
@@ -320,10 +293,10 @@ def semispectral_cdfs(ts, n: int, cluster_tol: float = CLUSTER_TOL) -> list[Semi
     return cdfs
 
 
-def semispectral_cdf(t, n: int, cluster_tol: float = CLUSTER_TOL) -> SemiSpectralCDF:
+def semispectral_cdf(t, n: int) -> SemiSpectralCDF:
     """Semi-spectral cumulative function of a contraction via an N-dilation.
 
     The one-member case of :func:`semispectral_cdfs`, which holds the
     construction and the moment check.
     """
-    return semispectral_cdfs(as_operator(t)[None], n, cluster_tol)[0]
+    return semispectral_cdfs(as_operator(t)[None], n)[0]

@@ -23,12 +23,16 @@ unique up to an additive constant; its nonzero Fourier modes are
 with adjoint powers for negative r, integrated adaptively (the integrand is
 analytic but not polynomial in s).  The constant mode is fixed to zero by
 convention.
+
+The numbers that carry the reduction to finite dimensions are module
+constants, not arguments: ``S_NODES`` Gauss-Legendre nodes for the pointwise
+s-average, the dilation degree margin ``DEGREE_MARGIN``, and ``QUAD_TOL`` and
+``QUAD_MAX_DEPTH`` for the adaptive rule.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +44,6 @@ from .semispectral import semispectral_cdfs
 from . import sampling
 
 __all__ = [
-    "QuadConfig",
     "StepFunction",
     "RealLineShift",
     "PipelineError",
@@ -63,35 +66,16 @@ BOUND_SLACK = 1e-6
 # and of campaigns.
 DEFAULT_GRID = 4096
 
+S_NODES = 32              # Gauss-Legendre nodes of the pointwise s-average
+DEGREE_MARGIN = 2         # dilation degree above the highest integrated power
+QUAD_TOL = 1e-10          # adaptive GK15 tolerance on multiplicative paths
+QUAD_MAX_DEPTH = 12       # and its bisection depth
+_NODES_PER_PIECE = 16     # real-line Gauss rule on each smooth piece
+_COARSE_BREAKS = 64       # uniform breaks laid over the jump angles
+
 
 class PipelineError(RuntimeError):
     """The circle-to-line pipeline failed its internal zero-integral check."""
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Quadrature configuration shared by the pointwise routes.
-
-    ``s_nodes`` Gauss-Legendre nodes discretize the path average; the
-    dilation degree is the highest integrated power plus ``degree_margin``;
-    ``quad_tol``/``quad_max_depth`` drive the adaptive rule on
-    multiplicative paths.  Circle grids are not configured here: each
-    consumer takes its own ``grid`` argument (default ``DEFAULT_GRID``).
-    """
-
-    s_nodes: int = 32
-    degree_margin: int = 2
-    quad_tol: float = 1e-10
-    quad_max_depth: int = 12
-
-    def __post_init__(self):
-        if self.s_nodes < 1 or self.degree_margin < 0:
-            raise ValueError("invalid quadrature configuration")
-        if self.quad_tol <= 0 or self.quad_max_depth < 1:
-            raise ValueError("invalid quadrature configuration")
-
-
-DEFAULT_QUAD = QuadConfig()
 
 
 class StepFunction:
@@ -148,24 +132,22 @@ class StepFunction:
 
 
 def shift_step_representation(
-    path: PerturbationPath,
-    max_power: int,
-    cfg: QuadConfig = DEFAULT_QUAD,
-    degree: int | None = None,
+    path: PerturbationPath, max_power: int, degree: int | None = None
 ) -> StepFunction:
     """Pointwise shift function of a path as an exact step function.
 
     Encodes s-averaged differences of semi-spectral cumulative functions:
-    the base CDF enters with weight one, each Gauss-Legendre node s_i with
-    weight -w_i, and the heights are traces against the path direction.  All
-    ``cfg.s_nodes + 1`` points go through one stacked dilation and
-    eigensolve (:func:`~specshift.semispectral.semispectral_cdfs`).  The
-    dilation degree defaults to ``max_power + cfg.degree_margin`` and bounds
-    the Fourier modes that are faithful to the path.
+    the base CDF enters with weight one, each of the ``S_NODES``
+    Gauss-Legendre nodes s_i with weight -w_i, and the heights are traces
+    against the path direction.  All ``S_NODES + 1`` points go through one
+    stacked dilation and eigensolve
+    (:func:`~specshift.semispectral.semispectral_cdfs`).  The dilation
+    degree defaults to ``max_power + DEGREE_MARGIN`` and bounds the Fourier
+    modes that are faithful to the path.
     """
-    n = degree if degree is not None else max_power + cfg.degree_margin
+    n = degree if degree is not None else max_power + DEGREE_MARGIN
     n = max(n, 1)
-    nodes, weights = gauss_legendre_01(cfg.s_nodes)
+    nodes, weights = gauss_legendre_01(S_NODES)
     points = [path.base] + [path.at(float(s_i)) for s_i in nodes]
     cdfs = semispectral_cdfs(np.stack(points), n)
     signed = np.concatenate([[1.0], -weights])
@@ -222,16 +204,12 @@ def _mult_fourier_integrand(path: PerturbationPath, rs: list[int]):
     return f
 
 
-def eta_tilde_moments_mult(
-    path: PerturbationPath,
-    rs,
-    tol: float = DEFAULT_QUAD.quad_tol,
-    max_depth: int = DEFAULT_QUAD.quad_max_depth,
-) -> dict[int, complex]:
+def eta_tilde_moments_mult(path: PerturbationPath, rs) -> dict[int, complex]:
     """Fourier modes d_r, r != 0, of the multiplicative shift function.
 
-    All requested modes are integrated in one adaptive pass so the path
-    exponentials are shared.  Quadrature failure propagates as
+    All requested modes are integrated in one adaptive pass, to ``QUAD_TOL``
+    within ``QUAD_MAX_DEPTH`` bisections, so the path exponentials are
+    shared.  Quadrature failure propagates as
     :class:`~specshift.quadrature.QuadratureError` with the achieved
     estimate attached.
     """
@@ -242,7 +220,7 @@ def eta_tilde_moments_mult(
         raise ValueError("the constant mode is not determined; it is fixed to 0")
     if not rs:
         return {}
-    value, _ = adaptive_gk15(_mult_fourier_integrand(path, rs), 0.0, 1.0, tol, max_depth)
+    value, _ = adaptive_gk15(_mult_fourier_integrand(path, rs), 0.0, 1.0, QUAD_TOL, QUAD_MAX_DEPTH)
     return {r: complex(val / (1j * r)) for r, val in zip(rs, value)}
 
 
@@ -287,7 +265,6 @@ def verify_trace_formula_mult(
     path: PerturbationPath,
     p: TrigPolynomial,
     tol: float = TRACE_TOL_MULT,
-    cfg: QuadConfig = DEFAULT_QUAD,
     seed: int | None = None,
 ) -> VerificationReport:
     """Check the multiplicative-path trace identity for a trig polynomial.
@@ -300,7 +277,7 @@ def verify_trace_formula_mult(
     rs = [r for r, _ in p if r != 0]
     extras: dict = {}
     try:
-        modes = eta_tilde_moments_mult(path, rs, cfg.quad_tol, cfg.quad_max_depth)
+        modes = eta_tilde_moments_mult(path, rs)
         rhs = sum(p.coeff(r) * (-(r * r)) * modes[r] for r in rs)
         quad_ok = True
     except QuadratureError as exc:
@@ -478,17 +455,13 @@ class RealLineShift:
                 total += c * 1j * r * (r - 1) * self.step.time_fourier(r - 1)
         return complex(total)
 
-    def _integration_nodes(self, nodes_per_piece: int = 16, coarse: int = 64):
+    def _integration_nodes(self):
         breaks = np.unique(
             np.concatenate(
-                [
-                    self.step.angles,
-                    np.linspace(0.0, 2.0 * np.pi, coarse + 1),
-                    [np.pi],
-                ]
+                [self.step.angles, np.linspace(0.0, 2.0 * np.pi, _COARSE_BREAKS + 1), [np.pi]]
             )
         )
-        x, w = np.polynomial.legendre.leggauss(nodes_per_piece)
+        x, w = np.polynomial.legendre.leggauss(_NODES_PER_PIECE)
         a = breaks[:-1]
         b = breaks[1:]
         keep = (b - a) > 1e-14
@@ -499,7 +472,7 @@ class RealLineShift:
         ww = (half[:, None] * w[None, :]).ravel()
         return tt, ww
 
-    def pairing_realline(self, weight, nodes_per_piece: int = 16) -> complex:
+    def pairing_realline(self, weight) -> complex:
         """Integral over the real line of weight(lam) xi(lam) d lam.
 
         Evaluated through the half-angle substitution lam = tan(t/2) with
@@ -507,7 +480,7 @@ class RealLineShift:
         is split at every jump angle (and at pi, where lam blows up) so each
         piece is smooth and a fixed Gauss rule is accurate.
         """
-        tt, ww = self._integration_nodes(nodes_per_piece)
+        tt, ww = self._integration_nodes()
         lam = np.tan(0.5 * tt)
         vals = np.asarray(weight(lam), dtype=np.complex128)
         xi_vals = 0.5 * self.eta_tilde(tt)
@@ -544,7 +517,6 @@ def gamma_pipeline(
     path: PerturbationPath,
     grid: int = DEFAULT_GRID,
     max_power: int = 8,
-    cfg: QuadConfig = DEFAULT_QUAD,
     degree: int | None = None,
     require_unitary_endpoints: bool = True,
 ) -> RealLineShift:
@@ -564,5 +536,5 @@ def gamma_pipeline(
     if require_unitary_endpoints:
         if not (is_unitary(path.base) and is_unitary(path.at(1.0))):
             raise ValueError("path endpoints must be unitary")
-    step = shift_step_representation(path, max_power, cfg=cfg, degree=degree)
+    step = shift_step_representation(path, max_power, degree=degree)
     return RealLineShift(step, grid=grid)

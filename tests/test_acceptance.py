@@ -37,7 +37,6 @@ from specshift import (
 from specshift import sampling
 from specshift.cayley import resolvent_pipeline
 from specshift.cli import CampaignConfig, run_campaign
-from specshift.shift import QuadConfig
 
 
 def announce(number: int, label: str, ok: bool, detail: str = ""):
@@ -115,9 +114,7 @@ def test_criterion_04_route_agreement():
     for _ in range(50):
         d = int(rng.integers(2, 7))
         path = sampling.random_linear_path(rng, d)
-        step = shift_step_representation(
-            path, max_power=7, cfg=QuadConfig(s_nodes=32), degree=9
-        )
+        step = shift_step_representation(path, max_power=7, degree=9)
         for m in range(7):
             worst = max(worst, abs(step.contour_moment(m) - eta_moment_linear(path, m)))
     announce(

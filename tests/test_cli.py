@@ -170,6 +170,18 @@ class TestCampaigns:
         assert len(entries) == 2
         assert {"kind", "lhs", "rhs", "residual", "verdict", "runtime"} <= set(entries[0])
 
+    @pytest.mark.parametrize("kind", ["dilation", "truncate"])
+    def test_zero_direction_zero_lhs_and_residual(self, kind, tmp_path):
+        # the perturbed operator equals the base, so both columns vanish exactly
+        out = tmp_path / "o"
+        argv = ["verify", "--kind", kind, "--trials", "5", "--seed", "1", "--zero-direction"]
+        assert main(argv + ["--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        for row in rows:
+            assert float(row["lhs_re"]) == float(row["lhs_im"]) == float(row["residual"]) == 0.0
+
     @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
     def test_transform_campaigns(self, kind, tmp_path):
         cfg = CampaignConfig(kind=kind, trials=2, seed=8, grid=512,
@@ -203,6 +215,21 @@ class TestEmission:
         path = emit_shift_samples(cfg)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.abs(data[:, 1:]).max() == 0.0
+
+    @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
+    def test_transform_zero_direction_all_zero_samples(self, kind, tmp_path):
+        cfg = CampaignConfig(kind=kind, seed=1, grid=512, dims=[3],
+                             out=str(tmp_path / "o"), zero_direction=True)
+        data = np.loadtxt(emit_shift_samples(cfg), delimiter=",", skiprows=1)
+        assert np.abs(data[:, 1:]).max() == 0.0
+
+    @pytest.mark.parametrize("kind", ["dilation", "truncate"])
+    def test_kinds_without_samples_exit_two_with_one_line(self, kind, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["eta", "--kind", kind, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
     def test_xi_emission(self, kind, tmp_path):

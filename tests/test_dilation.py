@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import warnings
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from specshift import (
@@ -15,6 +16,27 @@ from specshift import (
     schaffer_window,
 )
 from specshift import sampling
+from specshift.dilation import POLAR_AMBIGUOUS
+
+BAND_LO, BAND_HI = np.log10(POLAR_AMBIGUOUS)
+SEED = st.integers(0, 2**32 - 1)
+
+
+def powers_of_ten(lo: float, hi: float):
+    # 10**e for exponents e drawn from [lo, hi]
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# singular values at least 0.23% away from either band edge, inside or out;
+# two of the outside strategies hug the edges
+INSIDE = powers_of_ten(BAND_LO + 1e-3, BAND_HI - 1e-3)
+OUTSIDE = st.one_of(
+    st.just(0.0),
+    powers_of_ten(-17.0, BAND_LO - 1e-3),
+    powers_of_ten(BAND_LO - 0.5, BAND_LO - 1e-3),
+    powers_of_ten(BAND_HI + 1e-3, BAND_HI + 0.5),
+    powers_of_ten(BAND_HI + 1e-3, 0.0),
+)
 
 
 def hand_built_window(t: complex, k: int) -> np.ndarray:
@@ -188,6 +210,43 @@ class TestModifiedDilation:
         with warnings.catch_warnings():
             warnings.simplefilter("error", IllConditionedPolarWarning)
             modified_dilation(t0, t0, 1)
+
+
+def with_singular_values(seed: int, sig) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    w = sampling.random_unitary(rng, len(sig))
+    x = sampling.random_unitary(rng, len(sig))
+    return (w * np.asarray(sig)) @ x.conj().T
+
+
+def assert_polar_identity(t0, v, sig):
+    # V is unitary and V* T0 is Hermitian with the singular values of T0 as
+    # eigenvalues, so V* T0 = |T0| and T0 = (W X*) |T0|
+    assert hs_norm(v.conj().T @ v - np.eye(len(sig))) < 1e-12
+    absval = v.conj().T @ t0
+    assert hs_norm(absval - absval.conj().T) < 1e-12
+    assert_allclose(np.linalg.eigvalsh(absval), np.sort(sig), rtol=0, atol=1e-12)
+    assert hs_norm(v @ absval - t0) < 1e-12
+
+
+class TestPolarAmbiguityBand:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEED, inside=INSIDE, others=st.lists(OUTSIDE, max_size=4))
+    def test_value_inside_band_always_warns(self, seed, inside, others):
+        sig = [inside] + others
+        t0 = with_singular_values(seed, sig)
+        with pytest.warns(IllConditionedPolarWarning):
+            v = polar_unitary(t0)
+        assert_polar_identity(t0, v, sig)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEED, sig=st.lists(OUTSIDE, min_size=1, max_size=5))
+    def test_spectrum_outside_band_never_warns(self, seed, sig):
+        t0 = with_singular_values(seed, sig)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IllConditionedPolarWarning)
+            v = polar_unitary(t0)
+        assert_polar_identity(t0, v, sig)
 
 
 class TestNDilation:

@@ -4,7 +4,6 @@ from scipy.integrate import quad
 
 from specshift import (
     PerturbationPath,
-    QuadConfig,
     QuadratureError,
     RealLineShift,
     StepFunction,
@@ -20,7 +19,7 @@ from specshift import (
     verify_trace_formula_linear,
     verify_trace_formula_mult,
 )
-from specshift import sampling
+from specshift import sampling, shift
 from specshift.cayley import cayley_sa
 
 
@@ -89,14 +88,14 @@ class TestPointwiseLinear:
     def test_endpoint_values_vanish(self):
         rng = np.random.default_rng(2)
         path = sampling.random_linear_path(rng, 3)
-        step = shift_step_representation(path, max_power=4, cfg=QuadConfig(s_nodes=8), degree=4)
+        step = shift_step_representation(path, max_power=4, degree=4)
         assert abs(step(0.0)) < 1e-12
         assert abs(step(2 * np.pi)) < 1e-8
 
     def test_zero_direction(self):
         rng = np.random.default_rng(3)
         path = PerturbationPath.linear(sampling.random_contraction(rng, 3), np.zeros((3, 3)))
-        step = shift_step_representation(path, max_power=3, cfg=QuadConfig(s_nodes=4), degree=3)
+        step = shift_step_representation(path, max_power=3, degree=3)
         for t in (0.5, 2.0, 5.0):
             assert step(t) == 0
 
@@ -107,7 +106,7 @@ class TestPointwiseLinear:
         for _ in range(10):
             d = int(rng.integers(2, 6))
             path = sampling.random_linear_path(rng, d)
-            step = shift_step_representation(path, max_power=7, cfg=QuadConfig(s_nodes=32), degree=9)
+            step = shift_step_representation(path, max_power=7, degree=9)
             for m in range(7):
                 assert abs(step.contour_moment(m) - eta_moment_linear(path, m)) < 1e-6
 
@@ -162,11 +161,13 @@ class TestMultiplicativeMoments:
             for r in (1, 2, 3):
                 assert abs(modes[-r] - np.conj(modes[r])) < 1e-9
 
-    def test_quadrature_failure_carries_estimate(self):
+    def test_quadrature_failure_carries_estimate(self, monkeypatch):
         rng = np.random.default_rng(9)
         path = sampling.random_multiplicative_path(rng, 3)
+        monkeypatch.setattr(shift, "QUAD_TOL", 1e-16)
+        monkeypatch.setattr(shift, "QUAD_MAX_DEPTH", 0)
         with pytest.raises(QuadratureError) as info:
-            eta_tilde_moments_mult(path, [2], tol=1e-16, max_depth=0)
+            eta_tilde_moments_mult(path, [2])
         assert info.value.estimate > 0
 
 
@@ -244,11 +245,12 @@ class TestTraceFormulaMult:
             rep = verify_trace_formula_mult(path, p)
             assert rep.passed, rep.residual
 
-    def test_quadrature_failure_becomes_verdict(self):
+    def test_quadrature_failure_becomes_verdict(self, monkeypatch):
         rng = np.random.default_rng(18)
         path = sampling.random_multiplicative_path(rng, 2)
-        cfg = QuadConfig(quad_tol=1e-17, quad_max_depth=1)
-        rep = verify_trace_formula_mult(path, TrigPolynomial({2: 1.0}), cfg=cfg)
+        monkeypatch.setattr(shift, "QUAD_TOL", 1e-17)
+        monkeypatch.setattr(shift, "QUAD_MAX_DEPTH", 1)
+        rep = verify_trace_formula_mult(path, TrigPolynomial({2: 1.0}))
         assert not rep.passed
         assert "quadrature_error" in rep.extras
 

@@ -47,7 +47,7 @@ from .shift import (
     eta_moments_linear,
     eta_tilde_moments_mult,
     gamma_pipeline,
-    mobius_polynomial_weight,
+    mobius_polynomial_flux,
     quotient_bound_test,
     shift_step_representation,
     verify_trace_formula_linear,

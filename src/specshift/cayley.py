@@ -9,7 +9,7 @@ carries the second-order trace identity, and the interpolating operator
 satisfies (i - W_s)(i + W_s)^{-1} = (1 - s) U_0 + s U exactly, so W_0 = H_0
 and W_1 = H pair with the endpoints of the linear unitary path.  The
 real-line shift function comes out of the circle-to-line pipeline; the
-resolvent identity is verified against it with the explicit cubic weight.
+resolvent identity is paired against it through the flux of 1/(lam - z).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .opcore import TrigPolynomial, as_operator, hs_norm, is_contraction, is_hermitian, is_unitary
 from .paths import PerturbationPath
 from .report import VerificationReport
-from .shift import DEFAULT_GRID, RealLineShift, gamma_pipeline, mobius_polynomial_weight
+from .shift import DEFAULT_GRID, RealLineShift, gamma_pipeline, mobius_polynomial_flux
 
 __all__ = [
     "SelfAdjointPair",
@@ -210,7 +210,7 @@ def _verify_polynomial(
         require_unitary_endpoints=unitary_endpoints,
     )
     rhs_a = line.pairing_second_derivative(phi)
-    rhs_b = line.pairing_realline(mobius_polynomial_weight(phi))
+    rhs_b = line.pairing_realline(mobius_polynomial_flux(phi))
     res_a = abs(lhs - rhs_a)
     res_ab = abs(rhs_a - rhs_b)
     passed = res_a <= circle_tol * (1.0 + abs(lhs)) and res_ab <= realline_tol * (
@@ -302,8 +302,8 @@ def resolvent_pipeline(
 def verify_resolvent_formula(
     pair: SelfAdjointPair,
     z: complex,
-    grid: int = DEFAULT_GRID,
-    degree: int = RESOLVENT_DEGREE,
+    grid: int | None = None,
+    degree: int | None = None,
     tol: float = RESOLVENT_TOL,
     seed: int | None = None,
     line: RealLineShift | None = None,
@@ -316,15 +316,24 @@ def verify_resolvent_formula(
         X = (i + H_0)(H_0 - z)^{-1},  M = (H+i)^{-1} - (H_0+i)^{-1}
 
     (the two sign conventions for X's denominator agree because the factor
-    appears squared); right side by real-line quadrature of the weight
-    2 (1 + lam z) / (lam - z)^3 against xi.  The pulled-back symbol is a
-    full analytic series whose modes decay like |tau|^{-k} with
-    tau = (i - z)/(i + z), |tau| > 1, so the dilation ``degree`` controls
-    the truncation tail; the default covers |tau| >= 2 at tolerance 1e-5.
+    appears squared); right side by the exact real-line pairing of xi with
+    the weight 2 (1 + lam z) / (lam - z)^3, given by its flux
+    -(1 + lam^2) / (lam - z)^2.  The pulled-back symbol is a full analytic
+    series whose modes decay like |tau|^{-k} with tau = (i - z)/(i + z),
+    |tau| > 1, so the dilation ``degree`` controls the truncation tail; the
+    default ``RESOLVENT_DEGREE`` covers |tau| >= 2 at tolerance 1e-5.
+
+    A prebuilt ``line`` (from :func:`resolvent_pipeline`) is used as built:
+    the report carries its degree and grid, and an explicit ``degree`` or
+    ``grid`` that differs from them raises ``ValueError``.
     """
     z = complex(z)
     if z.imag >= 0:
         raise ValueError("the resolvent identity is stated for Im z < 0")
+    if line is not None:
+        for name, asked, built in (("grid", grid, line.grid), ("degree", degree, line.degree)):
+            if asked is not None and asked != built:
+                raise ValueError(f"{name} {asked} contradicts the line, built at {name} {built}")
     start = time.perf_counter()
     tau = (1j - z) / (1j + z)
     h, h0 = pair.h, pair.h0
@@ -335,13 +344,17 @@ def verify_resolvent_formula(
     x = (1j * eye + h0) @ np.linalg.inv(h0 - z * eye)
     lhs = complex(np.trace(rz - r0z - x @ m @ x))
     if line is None:
-        line = resolvent_pipeline(pair, grid=grid, degree=degree)
+        line = resolvent_pipeline(
+            pair,
+            grid=DEFAULT_GRID if grid is None else grid,
+            degree=RESOLVENT_DEGREE if degree is None else degree,
+        )
 
-    def weight(lam):
+    def flux(lam):
         lam = np.asarray(lam, dtype=np.complex128)
-        return 2.0 * (1.0 + lam * z) / (lam - z) ** 3
+        return -(1.0 + lam * lam) / (lam - z) ** 2
 
-    rhs = line.pairing_realline(weight)
+    rhs = line.pairing_realline(flux)
     residual = abs(lhs - rhs)
     return VerificationReport(
         kind="cayley_resolvent",
@@ -351,8 +364,8 @@ def verify_resolvent_formula(
         tol=tol,
         passed=residual <= tol * (1.0 + abs(lhs)),
         dim=pair.dim,
-        degree=degree,
+        degree=line.degree,
         seed=seed,
         runtime=time.perf_counter() - start,
-        extras={"z": z, "tau_abs": abs(tau)},
+        extras={"z": z, "tau_abs": abs(tau), "grid": line.grid},
     )

@@ -55,7 +55,7 @@ __all__ = [
     "verify_trace_formula_mult",
     "quotient_bound_test",
     "gamma_pipeline",
-    "mobius_polynomial_weight",
+    "mobius_polynomial_flux",
 ]
 
 TRACE_TOL_LINEAR = 1e-8
@@ -70,8 +70,6 @@ S_NODES = 32              # Gauss-Legendre nodes of the pointwise s-average
 DEGREE_MARGIN = 2         # dilation degree above the highest integrated power
 QUAD_TOL = 1e-10          # adaptive GK15 tolerance on multiplicative paths
 QUAD_MAX_DEPTH = 12       # and its bisection depth
-_NODES_PER_PIECE = 16     # real-line Gauss rule on each smooth piece
-_COARSE_BREAKS = 64       # uniform breaks laid over the jump angles
 
 
 class PipelineError(RuntimeError):
@@ -131,6 +129,10 @@ class StepFunction:
         return float(np.abs(self.heights).sum())
 
 
+def _dilation_degree(max_power: int, degree: int | None) -> int:
+    return max(degree if degree is not None else max_power + DEGREE_MARGIN, 1)
+
+
 def shift_step_representation(
     path: PerturbationPath, max_power: int, degree: int | None = None
 ) -> StepFunction:
@@ -145,8 +147,7 @@ def shift_step_representation(
     degree defaults to ``max_power + DEGREE_MARGIN`` and bounds the Fourier
     modes that are faithful to the path.
     """
-    n = degree if degree is not None else max_power + DEGREE_MARGIN
-    n = max(n, 1)
+    n = _dilation_degree(max_power, degree)
     nodes, weights = gauss_legendre_01(S_NODES)
     points = [path.base] + [path.at(float(s_i)) for s_i in nodes]
     cdfs = semispectral_cdfs(np.stack(points), n)
@@ -362,71 +363,54 @@ def quotient_bound_test(
     )
 
 
-def mobius_polynomial_weight(phi: TrigPolynomial):
-    """Real-line weight (d/dlam){(1+lam^2) psi'(lam)} for psi = phi o Mobius.
+def mobius_polynomial_flux(phi: TrigPolynomial):
+    """Real-line flux W = (1+lam^2) psi'(lam) of psi = phi o Mobius.
 
-    Chain rule through m(lam) = (i-lam)/(i+lam), with m' = -2i/(i+lam)^2 and
-    m'' = 4i/(i+lam)^3.  Vectorized over lam.
+    Through m(lam) = (i-lam)/(i+lam), with m' = -2i/(i+lam)^2 and
+    1 + lam^2 = -(i+lam)(i-lam), the flux is 2i m phi'(m).  Its derivative
+    is the weight that the trace identity pairs with xi.  Vectorized over
+    lam.
     """
     dphi = phi.derivative()
-    d2phi = dphi.derivative()
 
-    def weight(lam):
+    def flux(lam):
         lam = np.asarray(lam, dtype=np.complex128)
-        denom = 1j + lam
-        m = (1j - lam) / denom
-        m1 = -2j / denom**2
-        m2 = 4j / denom**3
-        p1 = dphi(m)
-        psi1 = p1 * m1
-        psi2 = d2phi(m) * m1 * m1 + p1 * m2
-        return 2.0 * lam * psi1 + (1.0 + lam * lam) * psi2
+        m = (1j - lam) / (1j + lam)
+        return 2j * m * dphi(m)
 
-    return weight
+    return flux
 
 
 class RealLineShift:
     """Shift data transported from the circle to the real line.
 
     Wraps the step representation eta of a linear pair, subtracts the
-    analytic correction z * c (c being the first Fourier coefficient of
-    eta), integrates once to get a continuous circle function eta~, and
-    exposes the real-line pullback xi(lam) = eta~(2 arctan lam) / 2.  All
-    pairings are computed jump-aware: exactly for Fourier data, by
-    per-piece Gauss rules for general real-line weights.
+    analytic correction z * mu (mu being the first Fourier coefficient of
+    eta) and integrates once to the continuous circle function
+
+        eta~(t) = i (mu - R(t)) - mu t,    R(t) = sum of h_j e^{-i theta_j}, theta_j <= t,
+
+    which is exact in closed form.  The real-line pullback is
+    xi(lam) = eta~(2 arctan lam) / 2: between jumps a constant plus a
+    multiple of arctan lam, so real-line pairings reduce to sums over the
+    jumps.  ``grid`` sets the resolution of the zero-integral check run at
+    construction; ``degree`` records the dilation degree the step data was
+    built at (None when unknown).
     """
 
-    def __init__(
-        self,
-        step: StepFunction,
-        grid: int,
-        diagnostics: dict | None = None,
-    ):
+    def __init__(self, step: StepFunction, grid: int, degree: int | None = None):
         self.step = step
         self.grid = int(grid)
+        self.degree = degree
         self.mean_mode = step.time_fourier(-1) / (2.0 * np.pi)
-        self.diagnostics = dict(diagnostics or {})
+        self.diagnostics: dict = {}
         self._run_zero_check()
 
     # -- pointwise values ------------------------------------------------
 
-    def gamma(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        out = self.step(t) - np.exp(1j * t) * self.mean_mode
-        return out if out.ndim else complex(out)
-
-    def running_integral(self, t):
-        """G(t) = integral over [0, t] of e^{-is} gamma(s) ds, exactly."""
-        t = np.asarray(t, dtype=np.float64)
-        out = (
-            1j * (np.exp(-1j * t) * self.step(t) - self.step.rotated_prefix(t))
-            - self.mean_mode * t
-        )
-        return out if out.ndim else complex(out)
-
     def eta_tilde(self, t):
         t = np.asarray(t, dtype=np.float64)
-        out = -1j * np.exp(-1j * t) * self.gamma(t) + self.running_integral(t)
+        out = 1j * (self.mean_mode - self.step.rotated_prefix(t)) - self.mean_mode * t
         return out if out.ndim else complex(out)
 
     def xi(self, lam):
@@ -443,9 +427,9 @@ class RealLineShift:
         """Circle-side value of the pairing of (d^2/dt^2) phi(e^{it}) with eta~.
 
         Integration by parts (using that the full-period integral of
-        e^{-is} gamma vanishes identically) turns the pairing into exact
-        Fourier data of the step function: the r-th mode of eta~ equals
-        -i (r-1)/r times the (r-1)-st time-Fourier coefficient of eta.
+        e^{-is} (eta - e^{is} mu) vanishes identically) turns the pairing
+        into exact Fourier data of the step function: the r-th mode of eta~
+        equals -i (r-1)/r times the (r-1)-st time-Fourier coefficient of eta.
         """
         if not phi.analytic:
             raise ValueError("circle-side pairing applies to analytic polynomials")
@@ -455,61 +439,54 @@ class RealLineShift:
                 total += c * 1j * r * (r - 1) * self.step.time_fourier(r - 1)
         return complex(total)
 
-    def _integration_nodes(self):
-        breaks = np.unique(
-            np.concatenate(
-                [self.step.angles, np.linspace(0.0, 2.0 * np.pi, _COARSE_BREAKS + 1), [np.pi]]
-            )
-        )
-        x, w = np.polynomial.legendre.leggauss(_NODES_PER_PIECE)
-        a = breaks[:-1]
-        b = breaks[1:]
-        keep = (b - a) > 1e-14
-        a, b = a[keep], b[keep]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        tt = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        ww = (half[:, None] * w[None, :]).ravel()
-        return tt, ww
+    def pairing_realline(self, flux) -> complex:
+        """Integral over the real line of W'(lam) xi(lam) d lam, exactly.
 
-    def pairing_realline(self, weight) -> complex:
-        """Integral over the real line of weight(lam) xi(lam) d lam.
+        ``flux`` is W = (1 + lam^2) psi'(lam), vectorized over lam.  The
+        result is exact when psi has one limit at +-infinity (phi o Mobius
+        and 1/(lam - z) do); then W, too, has one limit there.  Between
+        jumps xi' = -mu / (1 + lam^2), so integrating by parts piece by
+        piece leaves mu times the integral of psi' over the line (zero),
+        the boundary terms at +-infinity (they cancel), the boundary term
+        at lam = 0, where the angle wraps from 2pi to 0 and xi jumps by i/2
+        times the total jump mass, and one term per jump:
 
-        Evaluated through the half-angle substitution lam = tan(t/2) with
-        the Jacobian (1 + lam^2)/2 applied analytically; the t-integration
-        is split at every jump angle (and at pi, where lam blows up) so each
-        piece is smooth and a fixed Gauss rule is accurate.
+            (i/2) sum_j h_j (W(tan(theta_j / 2)) e^{-i theta_j} - W(0)).
+
+        A jump at pi lands at tan(pi/2) ~ 1.6e16, where W equals its limit
+        at infinity to rounding; a jump at 0 or 2pi lands at lam = 0 and
+        its term vanishes.
         """
-        tt, ww = self._integration_nodes()
-        lam = np.tan(0.5 * tt)
-        vals = np.asarray(weight(lam), dtype=np.complex128)
-        xi_vals = 0.5 * self.eta_tilde(tt)
-        return complex(np.sum(ww * vals * xi_vals * 0.5 * (1.0 + lam * lam)))
+        step = self.step
+        lam = np.concatenate([[0.0], np.tan(0.5 * step.angles)])
+        w = np.asarray(flux(lam), dtype=np.complex128)
+        return complex(0.5j * np.sum(step.heights * (w[1:] * np.exp(-1j * step.angles) - w[0])))
 
     # -- internal checks ---------------------------------------------------
 
     def _run_zero_check(self):
-        """Grid diagnostic: the full-period integral of e^{-it} gamma is 0.
+        """Grid diagnostic: the full-period integral of e^{-it} (eta - e^{it} mu) is 0.
 
-        The exact construction already forces it; the composite grid rule on
-        midpoint samples must agree within a resolution-driven tolerance or
-        the sampler and the step data are inconsistent.
+        The exact construction already forces it.  On the midpoint grid the
+        integral is 2pi times the gap between the grid estimate of the mean
+        mode and its exact value, which must stay within a
+        resolution-driven tolerance or the sampler and the step data are
+        inconsistent.
         """
         g = self.grid
         t = (np.arange(g) + 0.5) * (2.0 * np.pi / g)
-        quad = np.sum(np.exp(-1j * t) * self.gamma(t)) * (2.0 * np.pi / g)
+        gap = abs(np.sum(np.exp(-1j * t) * self.step(t)) / g - self.mean_mode)
+        quad = 2.0 * np.pi * gap
         grid_tol = (2.0 * np.pi / g) * (
             self.step.total_variation + (1.0 + 2.0 * np.pi) * abs(self.mean_mode)
         )
         grid_tol = max(grid_tol, 1e-12)
-        self.diagnostics["zero_integral_grid"] = abs(quad)
+        self.diagnostics["zero_integral_grid"] = quad
         self.diagnostics["zero_integral_tol"] = grid_tol
-        mean_grid = np.sum(np.exp(-1j * t) * self.step(t)) / g
-        self.diagnostics["mean_mode_grid_gap"] = abs(mean_grid - self.mean_mode)
-        if abs(quad) > 10.0 * grid_tol:
+        self.diagnostics["mean_mode_grid_gap"] = gap
+        if quad > 10.0 * grid_tol:
             raise PipelineError(
-                f"zero-integral grid check failed: {abs(quad):.3e} > "
-                f"10 * {grid_tol:.3e}"
+                f"zero-integral grid check failed: {quad:.3e} > 10 * {grid_tol:.3e}"
             )
 
 
@@ -527,7 +504,7 @@ def gamma_pipeline(
     pairs coming from dissipative operators).  ``max_power`` bounds the
     polynomial degree downstream consumers may pair against; ``degree``
     overrides the dilation degree directly for consumers that integrate
-    non-polynomial weights.
+    non-polynomial weights.  The line records the degree it was built at.
     """
     if path.kind != LINEAR:
         raise ValueError("the circle-to-line pipeline runs over linear paths")
@@ -536,5 +513,6 @@ def gamma_pipeline(
     if require_unitary_endpoints:
         if not (is_unitary(path.base) and is_unitary(path.at(1.0))):
             raise ValueError("path endpoints must be unitary")
-    step = shift_step_representation(path, max_power, degree=degree)
-    return RealLineShift(step, grid=grid)
+    n = _dilation_degree(max_power, degree)
+    step = shift_step_representation(path, max_power, degree=n)
+    return RealLineShift(step, grid=grid, degree=n)

@@ -12,6 +12,7 @@ from specshift import (
     hs_norm,
     inverse_cayley,
     is_unitary,
+    resolvent_pipeline,
     verify_dissipative_formula,
     verify_resolvent_formula,
     verify_selfadjoint_formula,
@@ -262,6 +263,22 @@ class TestResolventFormula:
         rep = verify_resolvent_formula(pair, -1.0 - 2.0j)
         assert rep.extras["tau_abs"] > 1
         assert rep.passed
+
+    def test_prebuilt_line_reports_its_own_degree_and_grid(self):
+        rng = np.random.default_rng(3)
+        pair = SelfAdjointPair(sampling.random_hermitian(rng, 2), sampling.random_hermitian(rng, 2))
+        line = resolvent_pipeline(pair, grid=512, degree=6)
+        rep = verify_resolvent_formula(pair, -2j, line=line)
+        assert rep.degree == 6 and rep.extras["grid"] == 512
+        # degree 6 is too low for the truncation tail; the default is not
+        assert not rep.passed
+        assert verify_resolvent_formula(pair, -2j, grid=512).passed
+        # settings that agree with the line are accepted, others refused
+        assert verify_resolvent_formula(pair, -2j, grid=512, degree=6, line=line).degree == 6
+        with pytest.raises(ValueError):
+            verify_resolvent_formula(pair, -2j, degree=36, line=line)
+        with pytest.raises(ValueError):
+            verify_resolvent_formula(pair, -2j, grid=4096, line=line)
 
     def test_derivative_term_against_difference_quotient(self):
         # the subtracted block X M X equals the s-derivative of the resolvent

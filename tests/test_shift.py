@@ -13,14 +13,64 @@ from specshift import (
     eta_tilde_moments_mult,
     gamma_pipeline,
     gauss_legendre_01,
-    mobius_polynomial_weight,
+    mobius_polynomial_flux,
     quotient_bound_test,
     shift_step_representation,
     verify_trace_formula_linear,
     verify_trace_formula_mult,
 )
 from specshift import sampling, shift
-from specshift.cayley import cayley_sa
+from specshift.cayley import cayley_dissipative, cayley_sa
+
+
+def quadrature_pairing(line: RealLineShift, weight) -> complex:
+    """Oracle for the real-line pairing: the integral of weight * xi.
+
+    Substitutes lam = tan(t/2), with Jacobian (1 + lam^2)/2, and puts 16
+    Gauss nodes on each piece of [0, 2pi] between the jump angles, pi and
+    64 uniform breaks, so the integrand is smooth on every piece.
+    """
+    breaks = np.unique(
+        np.concatenate([line.step.angles, np.linspace(0.0, 2.0 * np.pi, 65), [np.pi]])
+    )
+    x, w = np.polynomial.legendre.leggauss(16)
+    a, b = breaks[:-1], breaks[1:]
+    keep = (b - a) > 1e-14
+    a, b = a[keep], b[keep]
+    half = 0.5 * (b - a)
+    t = (0.5 * (a + b)[:, None] + half[:, None] * x[None, :]).ravel()
+    wt = (half[:, None] * w[None, :]).ravel()
+    lam = np.tan(0.5 * t)
+    vals = np.asarray(weight(lam), dtype=np.complex128)
+    return complex(np.sum(wt * vals * 0.5 * line.eta_tilde(t) * 0.5 * (1.0 + lam * lam)))
+
+
+def mobius_polynomial_weight(phi: TrigPolynomial):
+    """The weight (d/dlam){(1+lam^2) psi'} of psi = phi o Mobius, by the chain rule."""
+    dphi = phi.derivative()
+    d2phi = dphi.derivative()
+
+    def weight(lam):
+        lam = np.asarray(lam, dtype=np.complex128)
+        denom = 1j + lam
+        m = (1j - lam) / denom
+        m1 = -2j / denom**2
+        m2 = 4j / denom**3
+        psi1 = dphi(m) * m1
+        psi2 = d2phi(m) * m1 * m1 + dphi(m) * m2
+        return 2.0 * lam * psi1 + (1.0 + lam * lam) * psi2
+
+    return weight
+
+
+def resolvent_flux(z: complex):
+    # (1 + lam^2) psi' for psi = 1/(lam - z)
+    return lambda lam: -(1.0 + lam * lam) / (np.asarray(lam, dtype=np.complex128) - z) ** 2
+
+
+def resolvent_weight(z: complex):
+    # the derivative of resolvent_flux(z)
+    return lambda lam: 2.0 * (1.0 + lam * z) / (np.asarray(lam, dtype=np.complex128) - z) ** 3
 
 
 def scalar_linear(base: float, direction: float) -> PerturbationPath:
@@ -169,6 +219,17 @@ class TestMultiplicativeMoments:
         with pytest.raises(QuadratureError) as info:
             eta_tilde_moments_mult(path, [2])
         assert info.value.estimate > 0
+
+    def test_multiplicative_route_agreement(self):
+        # time-Fourier data of the dilation-built pointwise representation
+        # match the adaptive moment route on multiplicative paths
+        rng = np.random.default_rng(33)
+        for _ in range(4):
+            path = sampling.random_multiplicative_path(rng, int(rng.integers(2, 6)))
+            step = shift_step_representation(path, max_power=3)
+            modes = eta_tilde_moments_mult(path, [-3, -2, -1, 1, 2, 3])
+            for r in (-3, -2, -1, 1, 2, 3):
+                assert abs(step.time_fourier(r) - modes[r]) <= 1e-9 * (1.0 + abs(modes[r]))
 
 
 class TestTraceFormulaLinear:
@@ -373,8 +434,42 @@ class TestGammaPipeline:
         phi = sampling.random_analytic_polynomial(rng, 4)
         line = gamma_pipeline(path, grid=1024, max_power=4)
         a = line.pairing_second_derivative(phi)
-        b = line.pairing_realline(mobius_polynomial_weight(phi))
+        b = line.pairing_realline(mobius_polynomial_flux(phi))
         assert abs(a - b) < 1e-9
+
+    def test_exact_pairing_matches_quadrature_oracle(self):
+        rng = np.random.default_rng(29)
+        for d, unitary in ((2, True), (4, True), (3, False)):
+            if unitary:
+                path = self._unitary_path(rng, d)
+            else:
+                t, t0 = (cayley_dissipative(sampling.random_dissipative(rng, d)) for _ in range(2))
+                path = PerturbationPath.linear(t0, t - t0)
+            line = gamma_pipeline(path, grid=1024, max_power=6, require_unitary_endpoints=unitary)
+            phi = sampling.random_analytic_polynomial(rng, 5)
+            pairs = [(mobius_polynomial_flux(phi), mobius_polynomial_weight(phi))]
+            pairs += [(resolvent_flux(z), resolvent_weight(z)) for z in (-2j, 1 - 2j)]
+            for flux, weight in pairs:
+                oracle = quadrature_pairing(line, weight)
+                assert abs(line.pairing_realline(flux) - oracle) <= 1e-12 * (1.0 + abs(oracle))
+
+    @pytest.mark.parametrize("edge", [np.pi, 2.0 * np.pi])
+    def test_exact_pairing_jump_at_edge(self, edge):
+        # a jump at pi sits at lam = +-infinity, one at 2pi at lam = 0-
+        step = StepFunction([0.4, 2.5, edge, 5.0], [0.3 + 0.1j, -0.7, 0.5 - 0.2j, -0.1j])
+        line = RealLineShift(step, grid=1024)
+        phi = TrigPolynomial({2: 1.0, 3: -0.5j})
+        pairs = [(mobius_polynomial_flux(phi), mobius_polynomial_weight(phi))]
+        pairs.append((resolvent_flux(0.5 - 1.5j), resolvent_weight(0.5 - 1.5j)))
+        for flux, weight in pairs:
+            oracle = quadrature_pairing(line, weight)
+            assert abs(line.pairing_realline(flux) - oracle) <= 1e-12 * (1.0 + abs(oracle))
+        if edge == 2.0 * np.pi:
+            # xi never reaches the angle 2pi, so the jump there changes nothing
+            keep = step.angles < edge
+            rest = RealLineShift(StepFunction(step.angles[keep], step.heights[keep]), grid=1024)
+            for flux, _ in pairs:
+                assert abs(line.pairing_realline(flux) - rest.pairing_realline(flux)) < 1e-14
 
     def test_xi_integrable_weight_finite(self):
         # (1 + lam^2)^{-1} xi must be integrable: its circle-side integral is

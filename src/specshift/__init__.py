@@ -20,15 +20,11 @@ from .opcore import (
 )
 from .paths import PerturbationPath, difference_quotient_residual, monomial_bound_constant
 from .dilation import (
-    BlockOperator,
     DilationError,
-    IllConditionedPolarWarning,
     NDilation,
     dilation_unitaries,
     hs_difference_schaffer,
-    modified_dilation,
     n_dilation,
-    polar_unitary,
     schaffer_window,
 )
 from .semispectral import (
@@ -59,12 +55,10 @@ from .cayley import (
     SelfAdjointPair,
     cayley_dissipative,
     cayley_sa,
-    inverse_cayley,
     resolvent_pipeline,
     verify_dissipative_formula,
     verify_resolvent_formula,
     verify_selfadjoint_formula,
-    w_path,
 )
 from .truncate import ProjectionSequence, build_projections, reduction_diagnostics, truncation_gap
 from .quadrature import QuadratureError, adaptive_gk15, gauss_legendre_01

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcore import TrigPolynomial, as_operator, hs_norm, is_contraction, is_hermitian, is_unitary
+from .opcore import TrigPolynomial, as_operator, is_contraction, is_hermitian, is_unitary
 from .paths import PerturbationPath
 from .report import VerificationReport
 from .shift import DEFAULT_GRID, RealLineShift, gamma_pipeline, mobius_polynomial_flux
@@ -31,8 +31,6 @@ __all__ = [
     "DegenerateTransformError",
     "cayley_sa",
     "cayley_dissipative",
-    "inverse_cayley",
-    "w_path",
     "verify_selfadjoint_formula",
     "verify_resolvent_formula",
     "verify_dissipative_formula",
@@ -50,9 +48,9 @@ class DegenerateTransformError(ValueError):
     """A Cayley image has eigenvalue 1 within tolerance."""
 
 
-def _cayley(x: np.ndarray, a: complex) -> np.ndarray:
-    # (a - X)(a + X)^{-1}, solved as the transposed system
-    eye = a * np.eye(x.shape[0])
+def _cayley(x: np.ndarray) -> np.ndarray:
+    # (i - X)(i + X)^{-1}, solved as the transposed system
+    eye = 1j * np.eye(x.shape[0])
     return np.linalg.solve((eye + x).T, (eye - x).T).T
 
 
@@ -61,7 +59,7 @@ def cayley_sa(h) -> np.ndarray:
     h = as_operator(h)
     if not is_hermitian(h):
         raise ValueError("Cayley transform of this kind requires a Hermitian matrix")
-    return _cayley(h, 1j)
+    return _cayley(h)
 
 
 def cayley_dissipative(l) -> np.ndarray:
@@ -70,7 +68,7 @@ def cayley_dissipative(l) -> np.ndarray:
     imag_part = (l - l.conj().T) / 2j
     if float(np.linalg.eigvalsh(imag_part).min()) < -DISSIPATIVE_PSD_TOL:
         raise ValueError("matrix is not dissipative: imaginary part is not PSD")
-    t = _cayley(l, 1j)
+    t = _cayley(l)
     _require_no_eigenvalue_one(t)
     return t
 
@@ -82,11 +80,6 @@ def _require_no_eigenvalue_one(t: np.ndarray) -> None:
         raise DegenerateTransformError(
             f"Cayley image has an eigenvalue within {closest:.3e} of 1"
         )
-
-
-def inverse_cayley(u) -> np.ndarray:
-    """Recover the operator i (I - U)(I + U)^{-1} from its Cayley image."""
-    return 1j * _cayley(as_operator(u), 1.0)
 
 
 @dataclass(frozen=True)
@@ -160,31 +153,6 @@ class DissipativePair:
     def circle_path(self) -> PerturbationPath:
         t, t0 = self._transforms
         return PerturbationPath.linear(t0, t - t0)
-
-
-def _bridge(x: np.ndarray, x0: np.ndarray, s: float) -> np.ndarray:
-    eye = 1j * np.eye(x.shape[0])
-    xs = s * x0 + (1.0 - s) * x
-    return (x + eye) @ np.linalg.solve(xs + eye, x0 + eye) - eye
-
-
-def w_path(pair: SelfAdjointPair | DissipativePair, s: float) -> np.ndarray:
-    """Interpolating operator whose Cayley image is the linear transform path.
-
-    Checked on exit: the Cayley-type image of the returned operator matches
-    (1 - s) C(X_0) + s C(X) within 1e-9, pinning the orientation W_0 = X_0,
-    W_1 = X.
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("path parameter outside [0, 1]")
-    x, x0 = (pair.h, pair.h0) if isinstance(pair, SelfAdjointPair) else (pair.l, pair.l0)
-    c, c0 = pair.transforms()
-    w = _bridge(x, x0, s)
-    image = _cayley(w, 1j)
-    target = (1.0 - s) * c0 + s * c
-    if hs_norm(image - target) > 1e-9 * (1.0 + hs_norm(target)):
-        raise ArithmeticError("interpolating operator failed the transform identity")
-    return w
 
 
 def _verify_polynomial(

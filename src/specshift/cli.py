@@ -37,6 +37,9 @@ from .shift import (
     DEFAULT_GRID,
     TRACE_TOL_LINEAR,
     TRACE_TOL_MULT,
+    PipelineError,
+    eta_moments_linear,
+    eta_tilde_moments_mult,
     gamma_pipeline,
     shift_step_representation,
     verify_trace_formula_linear,
@@ -230,9 +233,7 @@ def _trial_dilation(cfg: CampaignConfig, i: int) -> VerificationReport:
     overshoot = hs_norm(gaps[degree + 1])
     closed = hs_difference_schaffer(t, t0)
     k_win = max(degree, 1)
-    windowed = hs_norm(
-        schaffer_window(t, k_win).to_dense() - schaffer_window(t0, k_win).to_dense()
-    )
+    windowed = hs_norm(schaffer_window(t, k_win) - schaffer_window(t0, k_win))
     residual = abs(closed - windowed)
     negcontrol_ok = is_unitary(t, UNITARY_CONTROL_TOL) or overshoot > OVERSHOOT_MIN
     passed = (
@@ -348,24 +349,42 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[VerificationReport]]:
     return status, reports
 
 
+def _check_step(cfg: CampaignConfig, path: PerturbationPath, step, max_deg: int) -> None:
+    # the pointwise step function must carry the moment route's Fourier data:
+    # contour moments c_m, m < max_deg (linear), modes d_r, 0 < |r| <= max_deg (mult)
+    if cfg.kind == "linear":
+        ref = eta_moments_linear(path, range(max_deg))
+        got = {m: step.contour_moment(m) for m in ref}
+        tol = cfg.tolerances.trace_formula
+    else:
+        ref = eta_tilde_moments_mult(path, [r for r in range(-max_deg, max_deg + 1) if r])
+        got = {r: step.time_fourier(r) for r in ref}
+        tol = cfg.tolerances.trace_formula_mult
+    gap = max((abs(got[k] - ref[k]) / (1.0 + abs(ref[k])) for k in ref), default=0.0)
+    if not gap <= tol:
+        raise PipelineError(
+            f"{cfg.kind} step function misses the moment route by {gap:.3e} (tol {tol:g})"
+        )
+
+
 def emit_shift_samples(cfg: CampaignConfig) -> Path:
     """Write pointwise shift samples for external plotting.
 
     Circle kinds produce rows (t, re_eta, im_eta) on a uniform closed grid of
-    ``grid`` rows including both endpoints; transform kinds produce
-    (lambda, re_xi, im_xi) on the half-angle pullback of a midpoint grid.
+    ``grid`` rows including both endpoints, after checking the step function
+    against the moment route (:class:`PipelineError` on a mismatch, and no
+    file); transform kinds produce (lambda, re_xi, im_xi) on the half-angle
+    pullback of a midpoint grid.
     """
     if cfg.kind not in ETA_KINDS:
         raise ValueError(f"eta emits samples for the kinds {ETA_KINDS}, not {cfg.kind!r}")
     rng = _trial_rng(cfg.seed, 0)
     dim = _pick(rng, cfg.dims)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path_file = out / "shift_samples.csv"
     max_deg = max(cfg.degrees)
     if cfg.kind in ("linear", "mult"):
         path = _sample_path(rng, cfg.kind, dim, cfg.zero_direction)
         step = shift_step_representation(path, max_power=max_deg)
+        _check_step(cfg, path, step, max_deg)
         t = np.linspace(0.0, 2.0 * np.pi, cfg.grid)
         vals = step(t)
         header = "t,re_eta,im_eta"
@@ -387,6 +406,9 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
         vals = 0.5 * line.eta_tilde(t)
         header = "lambda,re_xi,im_xi"
         cols = (lam, vals.real, vals.imag)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path_file = out / "shift_samples.csv"
     with open(path_file, "w") as fh:
         fh.write(header + "\n")
         for row in zip(*cols):
@@ -492,7 +514,11 @@ def main(argv: list[str] | None = None) -> int:
             )
             return status
         if args.command == "eta":
-            path = emit_shift_samples(cfg)
+            try:
+                path = emit_shift_samples(cfg)
+            except PipelineError as exc:
+                print(f"check failed: {exc}", file=sys.stderr)
+                return 1
             print(f"wrote {path}")
             return 0
         if args.command == "diagnose":

@@ -199,10 +199,6 @@ class TrigPolynomial:
     def max_index(self) -> int:
         return max(self._coeffs, default=0)
 
-    def second_moment_weight(self) -> float:
-        """sum_k k^2 |c_k|, the membership weight of the C^2 symbol class."""
-        return float(sum(k * k * abs(c) for k, c in self._coeffs.items()))
-
     def __call__(self, z):
         """Evaluate at scalar or array argument (nonzero for negative indices)."""
         z = np.asarray(z, dtype=np.complex128)

@@ -73,7 +73,8 @@ QUAD_MAX_DEPTH = 12       # and its bisection depth
 
 
 class PipelineError(RuntimeError):
-    """The circle-to-line pipeline failed its internal zero-integral check."""
+    """Shift data failed an internal consistency check: the zero integral of
+    the circle-to-line pipeline, or the moment check of emitted samples."""
 
 
 class StepFunction:
@@ -411,14 +412,6 @@ class RealLineShift:
     def eta_tilde(self, t):
         t = np.asarray(t, dtype=np.float64)
         out = 1j * (self.mean_mode - self.step.rotated_prefix(t)) - self.mean_mode * t
-        return out if out.ndim else complex(out)
-
-    def xi(self, lam):
-        """Real-line pullback xi(lam) = eta~ at the angle 2 arctan(lam), halved."""
-        lam = np.asarray(lam, dtype=np.float64)
-        t = 2.0 * np.arctan(lam)
-        t = np.where(t < 0.0, t + 2.0 * np.pi, t)
-        out = 0.5 * self.eta_tilde(t)
         return out if out.ndim else complex(out)
 
     # -- pairings ----------------------------------------------------------

@@ -37,6 +37,7 @@ __all__ = [
 
 NORMALITY_TOL = 1e-9
 ROTATION_ANGLE = 0.1
+POWER_CAP = 3
 
 DIAGNOSTIC_FIELDS = (
     "rank",
@@ -126,16 +127,10 @@ def _exp_remainder_bound(a: np.ndarray, off: float) -> float:
     return scale * hs_norm(a) * off
 
 
-def reduction_diagnostics(
-    seq: ProjectionSequence,
-    n0,
-    v,
-    a,
-    power_cap: int = 3,
-) -> list[dict[str, float]]:
+def reduction_diagnostics(seq: ProjectionSequence, n0, v, a) -> list[dict[str, float]]:
     """Per-rank table of the nine reduction quantities plus the exact bound.
 
-    Powers run over k in [-power_cap, power_cap] \\ {0}, adjoints standing in
+    Powers run over k in [-POWER_CAP, POWER_CAP] \\ {0}, adjoints standing in
     for negative powers; only the worst gap per family is reported.  Nothing
     here asserts convergence - the table is data, except that the closed-form
     bound column is a true upper bound for the trace-norm exponential
@@ -151,7 +146,7 @@ def reduction_diagnostics(
     t0 = n0 + v
     exp_a = hermitian_exp(a, 1.0)
     t = exp_a @ t0
-    ks = [k for k in range(-power_cap, power_cap + 1) if k != 0]
+    ks = [k for k in range(-POWER_CAP, POWER_CAP + 1) if k != 0]
     pows_t, pows_t0 = signed_powers(t, ks), signed_powers(t0, ks)
     rows = []
     for rank in seq.ranks:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from specshift import shift
+from specshift import cli, shift
 from specshift.cayley import CIRCLE_TOL, REAL_LINE_TOL
 from specshift.cli import (
     CampaignConfig,
@@ -230,6 +230,24 @@ class TestEmission:
         err = capsys.readouterr().err
         assert err.startswith("invalid configuration:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["linear", "mult"])
+    def test_corrupted_step_exits_one_without_samples(self, kind, tmp_path, monkeypatch, capsys):
+        # the step function is checked against the moment route before writing
+        real = cli.shift_step_representation
+
+        def corrupted(path, max_power):
+            step = real(path, max_power=max_power)
+            heights = step.heights.copy()
+            heights[len(heights) // 2] += 0.1
+            return shift.StepFunction(step.angles, heights)
+
+        monkeypatch.setattr(cli, "shift_step_representation", corrupted)
+        out = tmp_path / "o"
+        assert main(["eta", "--kind", kind, "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed:") and err.count("\n") == 1
+        assert not (out / "shift_samples.csv").exists()
 
     @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
     def test_xi_emission(self, kind, tmp_path):

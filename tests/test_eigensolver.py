@@ -13,7 +13,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from specshift import MomentConsistencyError, n_dilation, sampling
+from specshift import MomentConsistencyError, dilation_unitaries, n_dilation, sampling
 from specshift import semispectral
 from specshift.opcore import DEFECT_CLAMP
 from specshift.semispectral import (
@@ -158,6 +158,27 @@ class TestContractionEdge:
         u = n_dilation(t, n).unitary
         assert_matches_oracle(cdf, u, dim, drop_tol=1e-12)
         assert moment_residual(cdf, t, n) <= 1e-9
+
+
+class TestScalarDilationSpectrum:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        radius=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        phase=st.one_of(st.sampled_from([0.0, 0.5 * np.pi, np.pi]), st.floats(0.0, TWO_PI)),
+        n=st.integers(1, 12),
+    )
+    def test_eigenvalues_are_the_characteristic_roots(self, radius, phase, n):
+        # for d = 1 the degree-N dilation has characteristic polynomial
+        # z^{N+1} - t z^N + conj(t) z - 1.  The eigenvalues are compared with
+        # its roots through the coefficients: root finding loses half the
+        # digits at the double roots of |t| = 1, t^{N+1} = -1 (t = -1, N even)
+        t = radius * np.exp(1j * phase)
+        angles, _ = semispectral._unitary_eigh(dilation_unitaries([[[t]]], n))
+        expected = np.zeros(n + 2, dtype=complex)
+        expected[0], expected[-1] = 1.0, -1.0
+        expected[1] -= t
+        expected[-2] += np.conj(t)
+        assert_allclose(np.poly(np.exp(1j * angles[0])), expected, rtol=0, atol=1e-12)
 
 
 class TestRetryPath:

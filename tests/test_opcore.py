@@ -113,10 +113,6 @@ class TestTrigPolynomial:
         assert TrigPolynomial({0: 1, 3: 2}).analytic
         assert not TrigPolynomial({-1: 1}).analytic
 
-    def test_weight(self):
-        f = TrigPolynomial({-2: 1.0, 3: 0.5})
-        assert f.second_moment_weight() == pytest.approx(4 * 1.0 + 9 * 0.5)
-
     def test_zero_coefficients_dropped(self):
         assert len(TrigPolynomial({1: 0.0, 2: 1.0})) == 1
 

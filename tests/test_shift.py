@@ -385,7 +385,9 @@ class TestGammaPipeline:
         t = np.linspace(0, 2 * np.pi, 7)
         assert np.allclose(line.step(t), 0)
         assert np.allclose(line.eta_tilde(t), 0, atol=1e-12)
-        assert np.allclose(line.xi(np.array([-2.0, 0.0, 3.0])), 0, atol=1e-12)
+        # xi(lam) = eta~(2 arctan lam) / 2 vanishes too
+        pulled = np.mod(2 * np.arctan(np.array([-2.0, 0.0, 3.0])), 2 * np.pi)
+        assert np.allclose(0.5 * line.eta_tilde(pulled), 0, atol=1e-12)
 
     def test_constant_eta_synthetic(self):
         # eta == kappa on (0, 2pi] makes the analytic correction vanish and
@@ -482,7 +484,8 @@ class TestGammaPipeline:
         # continuity across the wrap: the jump mass of eta sums to zero
         assert abs(line.eta_tilde(0.0) - line.eta_tilde(2 * np.pi)) < 1e-8
         lam = np.linspace(-50, 50, 101)
-        vals = np.abs(line.xi(lam)) / (1 + lam**2)
+        xi = 0.5 * line.eta_tilde(np.mod(2 * np.arctan(lam), 2 * np.pi))
+        vals = np.abs(xi) / (1 + lam**2)
         assert np.isfinite(vals).all()
 
     def test_inconsistent_mean_mode_raises(self, monkeypatch):

@@ -11,7 +11,7 @@ from specshift import (
     reduction_diagnostics,
     truncation_gap,
 )
-from specshift import sampling
+from specshift import sampling, truncate
 
 
 class TestBuildProjections:
@@ -107,12 +107,14 @@ class TestReductionDiagnostics:
             for row in reduction_diagnostics(seq, n0, v, a):
                 assert row["exp_remainder_gap"] <= row["exp_remainder_bound"] + 1e-10
 
-    def test_negative_powers_included(self):
+    def test_negative_powers_included(self, monkeypatch):
         rng = np.random.default_rng(6)
         n0, v, a = self.fixture(rng)
         seq = build_projections(n0, [2, 4], rotate=True, seed=4)
-        shallow = reduction_diagnostics(seq, n0, v, a, power_cap=1)
-        deep = reduction_diagnostics(seq, n0, v, a, power_cap=3)
+        monkeypatch.setattr(truncate, "POWER_CAP", 1)
+        shallow = reduction_diagnostics(seq, n0, v, a)
+        monkeypatch.setattr(truncate, "POWER_CAP", 3)
+        deep = reduction_diagnostics(seq, n0, v, a)
         # widening the power family can only increase the reported maxima
         for s_row, d_row in zip(shallow, deep):
             assert d_row["power_gap_final"] >= s_row["power_gap_final"] - 1e-12

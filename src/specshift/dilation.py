@@ -6,7 +6,8 @@ Two constructions live here:
   nontrivial blocks sit next to the centre;
 * a finite (N+1)-block unitary whose compressions reproduce T^k exactly for
   k <= N, which is what makes semi-spectral measures computable at finite
-  dimension; it is built for a whole stack of contractions at once.
+  dimension; it is built for a whole stack of contractions at once, from
+  their 2d x 2d Julia operators, which hold all it knows of T.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
     "hs_difference_schaffer",
     "n_dilation",
     "dilation_unitaries",
+    "julia_operators",
+    "unitaries_from_julia",
 ]
 
 # Unitarity failure threshold for the finite dilation; exceeding it signals
@@ -103,45 +106,65 @@ class NDilation:
     unitary: np.ndarray = field(repr=False)
 
 
-def dilation_unitaries(ts, n: int) -> np.ndarray:
-    """Degree-N dilation unitaries, (k, (N+1)d, (N+1)d), of k contractions.
+def julia_operators(ts) -> np.ndarray:
+    """Julia operators J = [[T, D_T*], [D_T, -T*]], (k, 2d, 2d), of k contractions.
 
-    Block layout on (N+1) copies of the base space: T at (0, 0), D_T* at
-    (0, N), D_T at (1, 0), -T* at (1, N) and identity shifts (j, j-1) for
-    2 <= j <= N.  One stacked SVD gives both the contraction check and the
-    defect operators of every member.  Unitarity follows from the defect
+    J is all a dilation knows of T: the degree-N dilation unitary holds it
+    on block rows (0, 1) and block columns (0, N) and is a block shift
+    elsewhere, so U*U - I is J*J - I padded with zeros, and the unitarity
+    check runs on J.  One stacked SVD gives both the contraction check and
+    the defect operators of every member.  Unitarity follows from the defect
     identities together with T* D_T* = D_T T*; each member's residual is
     checked and one beyond ``UNITARITY_FAIL`` raises :class:`DilationError`.
     """
     ts = as_operator_stack(ts)
-    if n < 1:
-        raise ValueError("dilation degree must be at least 1")
-    k, d, _ = ts.shape
+    d = ts.shape[1]
     w, sig, xh = np.linalg.svd(ts)
     if d and sig[:, 0].max(initial=0.0) > 1.0 + CONTRACTION_TOL:
         raise ValueError("dilation requires a contraction")
     pair = defects_from_svd(w, sig, xh)
-    m = (n + 1) * d
-    u = np.zeros((k, m, m), dtype=np.complex128)
-    u[:, 0:d, 0:d] = ts
-    u[:, 0:d, n * d :] = pair.d_tstar
-    u[:, d : 2 * d, 0:d] = pair.d_t
-    u[:, d : 2 * d, n * d :] = -np.swapaxes(ts.conj(), 1, 2)
-    shift = np.arange(2 * d, m)
-    u[:, shift, shift - d] = 1.0
-    gram = np.swapaxes(u.conj(), 1, 2) @ u
-    gram[:, np.arange(m), np.arange(m)] -= 1.0
+    js = np.block([[ts, pair.d_tstar], [pair.d_t, -np.swapaxes(ts.conj(), 1, 2)]])
+    gram = np.swapaxes(js.conj(), 1, 2) @ js
+    gram -= np.eye(2 * d)
     residual = np.linalg.norm(gram, axis=(1, 2)).max(initial=0.0)
     if residual > UNITARITY_FAIL:
         raise DilationError(f"dilation unitarity residual {residual:.3e}")
+    return js
+
+
+def unitaries_from_julia(js, n: int) -> np.ndarray:
+    """Degree-N dilation unitaries, (k, (N+1)d, (N+1)d), of k Julia operators.
+
+    Block layout on (N+1) copies of the base space: T at (0, 0), D_T* at
+    (0, N), D_T at (1, 0), -T* at (1, N) and identity shifts (j, j-1) for
+    2 <= j <= N.
+    """
+    k, d2, _ = js.shape
+    d = d2 // 2
+    m = (n + 1) * d
+    u = np.zeros((k, m, m), dtype=np.complex128)
+    u[:, :d2, :d] = js[:, :, :d]
+    u[:, :d2, n * d :] = js[:, :, d:]
+    shift = np.arange(d2, m)
+    u[:, shift, shift - d] = 1.0
     return u
+
+
+def dilation_unitaries(ts, n: int) -> np.ndarray:
+    """Degree-N dilation unitaries, (k, (N+1)d, (N+1)d), of k contractions.
+
+    The checked Julia operators of :func:`julia_operators` laid out by
+    :func:`unitaries_from_julia`.
+    """
+    if n < 1:
+        raise ValueError("dilation degree must be at least 1")
+    return unitaries_from_julia(julia_operators(ts), n)
 
 
 def n_dilation(t, n: int) -> NDilation:
     """Finite unitary dilation reproducing T^k under compression for k <= N.
 
-    The one-member case of :func:`dilation_unitaries`, which holds the block
-    layout and the checks.
+    The one-member case of :func:`dilation_unitaries`.
     """
     t = as_operator(t)
     return NDilation(degree=n, embed_dim=t.shape[0], unitary=dilation_unitaries(t[None], n)[0])

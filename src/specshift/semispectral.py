@@ -9,12 +9,23 @@ bearing: it makes the boundary terms of every integration by parts drop out.
 
 Spectra of unitaries come from a Hermitian eigensolve.  The rotated Cayley
 map sends U to H = i(I - w)(I + w)^{-1} with w = e^{-i theta} U; H has the
-eigenvectors of U, orthonormal by construction, and its eigenvalues lam
-locate the eigenangles at theta + 2 arctan(lam); the angles kept are the
-arguments of the Rayleigh quotients v* U v, accurate to rounding however
-close the pole -e^{i theta} comes to the spectrum.  A stack of unitaries
-(all the dilations of one path) goes through one stacked ``eigh`` call, in
-chunks of at most ``_CHUNK_ENTRIES`` matrix entries per stacked array.
+eigenvectors of U and its eigenvalues lam locate the eigenangles at
+theta + 2 arctan(lam); the angles kept are the arguments of the Rayleigh
+quotients v* U v, accurate to rounding however close the pole
+-e^{i theta} comes to the spectrum.
+
+A dilation unitary of size m = (N+1)d is never formed: it is a rank-2d
+change of the block cyclic shift by the 2d x 2d Julia operator of T, on
+which its unitarity is checked (:func:`~specshift.dilation.julia_operators`).
+H comes from Woodbury's identity in O(m^2 d), only its eigenvalues are
+computed, and each eigenvector comes from the kernel of a 2d x 2d pencil
+(:func:`_dilation_eig`).  A member goes through the dense solve of U
+instead when two of its eigenangles lie closer than ``_GAP_MIN`` (a kernel
+then no longer fixes one eigenvector: clusters, T = 0, coincidences at
+unitary T), when no pole placement keeps the shift's circulant regular
+(``_CIRCULANT_MIN``), or when an eigen-residual exceeds ``_RESIDUAL_FAIL``.
+A stack of members (all the dilations of one path) is solved together, in
+chunks of at most ``_CHUNK_ENTRIES`` entries per stacked array.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dilation import dilation_unitaries
+from .dilation import julia_operators, unitaries_from_julia
 from .opcore import as_operator, as_operator_stack, hs_norm, is_unitary, power_ladder
 
 __all__ = [
@@ -47,6 +58,9 @@ _RESIDUAL_FAIL = 1e-8     # |U v - (v* U v) v| beyond this: the solve broke down
 _ATTEMPTS = 4             # pole placements per member before giving up
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))  # pole step after a broken solve
 _CHUNK_ENTRIES = 1 << 16  # most matrix entries one stacked array may hold
+_GAP_MIN = 1e-6           # closer eigenangles blur kernel eigenvectors (eps/gap): dense solve
+_CIRCULANT_MIN = 1e-2     # smaller |1 - (-c)^(N+1)|: the pole sits on the shift's spectrum
+_VECTOR_TOL = 1e-12       # eigenvector error bound beyond which the kernel step is redone
 
 
 class MomentConsistencyError(RuntimeError):
@@ -116,6 +130,14 @@ def _wrap_angles(ang: np.ndarray) -> np.ndarray:
 
 
 def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # stacked solve; a member (leading index) whose system is singular comes back as NaN
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.stack([_solve_member(aj, bj) for aj, bj in zip(a, b)])
+
+
+def _solve_member(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
@@ -131,10 +153,7 @@ def _rotated_cayley(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
     w = np.exp(-1j * theta)[:, None, None] * u
     plus = eye + w
     minus = np.subtract(eye, w, out=w)  # w is not needed again
-    try:
-        h = np.linalg.solve(plus, minus)
-    except np.linalg.LinAlgError:
-        h = np.stack([_solve_or_nan(a, b) for a, b in zip(plus, minus)])
+    h = _solve_or_nan(plus, minus)
     del plus, minus
     h -= np.swapaxes(h.conj(), 1, 2)
     h *= 0.5j
@@ -144,7 +163,7 @@ def _rotated_cayley(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def _rotated_eigh(u: np.ndarray, theta: np.ndarray):
     """Eigenvectors of rotated unitaries, with what the retry rule reads.
 
-    Returns the eigenvectors, their Rayleigh quotients v* U v, the computed
+    Returns the Rayleigh quotients v* U v, the eigenvectors, the computed
     angles theta + 2 arctan(lam), and per member the largest |lam| and the
     largest eigen-residual |U v - (v* U v) v|.  A singular solve reports an
     infinite |lam| and residual.
@@ -160,67 +179,267 @@ def _rotated_eigh(u: np.ndarray, theta: np.ndarray):
     residual = np.linalg.norm(uv, axis=1).max(axis=1, initial=0.0)
     big = np.abs(lam).max(axis=1, initial=0.0)
     big[singular] = residual[singular] = np.inf
-    return vec, quot, theta[:, None] + 2.0 * np.arctan(lam), big, residual
+    return quot, vec, theta[:, None] + 2.0 * np.arctan(lam), big, residual
+
+
+def _circle_gaps(ang: np.ndarray):
+    # each row's angles sorted on the circle, and the gap after each of them
+    a = np.sort(np.mod(ang, 2.0 * np.pi), axis=1)
+    return a, np.diff(a, axis=1, append=a[:, :1] + 2.0 * np.pi)
+
+
+def _nearest_gaps(ang: np.ndarray) -> np.ndarray:
+    # each angle's distance on the circle to the nearest other angle of its row
+    order = np.argsort(np.mod(ang, 2.0 * np.pi), axis=1)
+    _, gaps = _circle_gaps(ang)
+    out = np.empty_like(gaps)
+    np.put_along_axis(out, order, np.minimum(gaps, np.roll(gaps, 1, axis=1)), axis=1)
+    return out
 
 
 def _pole_in_widest_gap(ang: np.ndarray) -> np.ndarray:
     # the rotation whose pole -e^{i theta} sits mid-way across each row's widest gap
-    a = np.sort(np.mod(ang, 2.0 * np.pi), axis=1)
-    gaps = np.diff(a, axis=1, append=a[:, :1] + 2.0 * np.pi)
+    a, gaps = _circle_gaps(ang)
     rows = np.arange(a.shape[0])
     widest = gaps.argmax(axis=1)
     return a[rows, widest] + 0.5 * gaps[rows, widest] - np.pi
 
 
-def _unitary_eigh(u: np.ndarray):
-    """Eigenangles (k, m) and orthonormal eigenvectors of k unitaries.
+def _pole_search(solve, k: int):
+    """Run ``solve`` over the pole placements of k members.
 
+    ``solve(todo, theta)`` handles the members ``todo`` at rotations
+    ``theta`` and returns their Rayleigh quotients, eigenvectors, computed
+    angles theta + 2 arctan(lam), largest |lam| and largest eigen-residual.
     Every member starts at the rotation ``_THETA0``.  A member whose largest
     |lam| exceeds ``_LAMBDA_MAX`` is solved again with its pole moved to the
-    middle of the widest gap of its computed angles theta + 2 arctan(lam).
-    A member whose solve is singular, or so close to singular that its
-    eigen-residual exceeds ``_RESIDUAL_FAIL`` (its computed angles are then
-    meaningless), moves its pole on by the golden angle, which no finite
-    rotation group shares.  The last placement is kept unless its residual
-    fails.  The angles are the arguments of the Rayleigh quotients v* U v,
-    which stay within an ulp or so of the eigenangles at any pole distance;
-    they are not yet wrapped.
+    middle of the widest gap of its computed angles.  A member whose solve is
+    singular, or so close to singular that its eigen-residual exceeds
+    ``_RESIDUAL_FAIL`` (its computed angles are then meaningless), moves its
+    pole on by the golden angle, which no finite rotation group shares.  The
+    last placement is kept; returns the quotients, the eigenvectors and the
+    eigen-residuals of the placements kept.
     """
-    theta = np.full(u.shape[0], _THETA0)
-    todo = np.arange(u.shape[0])
-    vectors, quot, ang, big, residual = _rotated_eigh(u, theta)
-    angles = np.angle(quot)
+    theta = np.full(k, _THETA0)
+    todo = np.arange(k)
+    quot, vectors, ang, big, residual = solve(slice(None), theta)
+    kept = residual.copy()
     for _ in range(_ATTEMPTS - 1):
         broken = ~(residual <= _RESIDUAL_FAIL)
         retry = broken | (big > _LAMBDA_MAX)
         if not retry.any():
-            return angles, vectors
+            break
         todo = todo[retry]
         pole = _pole_in_widest_gap(ang[retry])
         theta[todo] = np.where(broken[retry], theta[todo] + _GOLDEN_ANGLE, pole)
-        vec, quot, ang, big, residual = _rotated_eigh(u[todo], theta[todo])
-        angles[todo] = np.angle(quot)
-        vectors[todo] = vec
+        q, vec, ang, big, residual = solve(todo, theta[todo])
+        quot[todo], vectors[todo], kept[todo] = q, vec, residual
+    return quot, vectors, kept
+
+
+def _unitary_eigh(u: np.ndarray):
+    """Eigenangles (k, m) and orthonormal eigenvectors of k dense unitaries.
+
+    Pole placements as in :func:`_pole_search`; a member whose residual
+    still fails at the last one raises ``LinAlgError``.  The angles are the
+    arguments of the Rayleigh quotients v* U v, which stay within an ulp or
+    so of the eigenangles at any pole distance; they are not yet wrapped.
+    """
+    quot, vectors, residual = _pole_search(
+        lambda todo, theta: _rotated_eigh(u[todo], theta), len(u)
+    )
     if residual.max(initial=0.0) <= _RESIDUAL_FAIL:
-        return angles, vectors
+        return np.angle(quot), vectors
     raise np.linalg.LinAlgError("rotated Cayley eigensolve failed at every pole placement")
 
 
-def _jump_lists(ang, vec, compress_dim: int, drop_tol: float):
+def _dilation_cayley(js: np.ndarray, n: int, theta: np.ndarray) -> np.ndarray:
+    """Rotated Cayley matrices of the degree-N dilations of Julia operators.
+
+    U = P V with P the block cyclic shift and V the Julia operator with its
+    block rows swapped, G, on blocks (0, N) and the identity elsewhere, so
+    I + cU = (I + cP) + cPE(G - I)E* with E the injection of blocks (0, N).
+    (I + cP)^{-1} = sum_j a_j P^j, a_j = (-c)^j / (1 - (-c)^{N+1}), and
+    Woodbury's identity adds a rank-2d correction.  Returns the Hermitian
+    parts of i(2(I + cU)^{-1} - I): a skew part, left by rounding or by a
+    dilation unitary only to within the defect clamp, would move the
+    eigenvalues at first order, while the Hermitian part moves them only at
+    second.  A member whose circulant or 2d x 2d capacitance matrix is
+    singular comes back as NaN.
+    """
+    k, d2, _ = js.shape
+    d, nb = d2 // 2, n + 1
+    c = np.exp(-1j * theta)
+    den = 1.0 - (-c) ** nb
+    singular = ~(np.abs(den) > _CIRCULANT_MIN)
+    den[singular] = 1.0
+    a = (-c[:, None]) ** np.arange(nb) / den[:, None]
+    idx = np.arange(nb)
+    circ = a[:, (idx[:, None] - idx) % nb]  # scalar blocks of (I + cP)^{-1}
+    f = c[:, None, None] * circ[:, :, [1, 0]]  # of (I + cP)^{-1} cPE
+    eye = np.eye(d)
+    # E*(I + cP)^{-1} and E*(I + cP)^{-1}cPE: blocks 0 and N of the above, times I_d
+    rho = (circ[:, [0, n], None, :, None] * eye[:, None, :]).reshape(k, d2, nb * d)
+    phi = (f[:, [0, n], None, :, None] * eye[:, None, :]).reshape(k, d2, d2)
+    g = np.roll(js, d, axis=1) - np.eye(d2)  # G - I
+    core = _solve_or_nan(np.eye(d2) + g @ phi, g)
+    w = (f @ core.reshape(k, 2, d * d2)).reshape(k, nb * d, d2)  # (I + cP)^{-1}cPE core
+    # 2i(I + cU)^{-1} - iI: 2i circ on the diagonal blocks less 2i F core rho
+    h = (-2j * w) @ rho
+    blocks = h.reshape(k, nb, d, nb, d)
+    diagonal = 2j * circ - 1j * np.eye(nb)
+    for r in range(d):
+        blocks[:, :, r, :, r] += diagonal
+    h += np.swapaxes(h.conj(), 1, 2)
+    h *= 0.5
+    h[singular] = np.nan
+    return h
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a* b over the last axis
+    return np.einsum("...a,...a->...", a.conj(), b)
+
+
+def _geometric_sums(w: np.ndarray, n: int) -> np.ndarray:
+    # sum_{i<n} w^i for w near 1, without the cancellation in (w^n - 1)/(w - 1)
+    t = np.log(w)
+    flat = t == 0.0
+    return np.where(flat, n, np.expm1(n * t) / np.where(flat, 1.0, np.expm1(t)))
+
+
+def _rayleigh(js: np.ndarray, n: int, z: np.ndarray, x: np.ndarray):
+    """Unit eigenvectors of the dilations from kernel vectors of K(z).
+
+    The vector of (u, y) = ``x`` is v = (u, z^{N-1} y, ..., z y, y), so
+    |v|^2 = |u|^2 + s_N |y|^2 with s_j = sum_{i<j} |z|^{2i}; v* U v and
+    |U v - q v| need only J (u, y), the first two blocks of U v, because
+    the shift blocks contribute s_{N-1} z |y|^2 and s_{N-1} |z - q|^2 |y|^2.
+    ``js`` broadcasts against ``x``.  Returns the Rayleigh quotients q, the
+    leading blocks u / |v| and the eigen-residuals |U v - q v| / |v|.
+    """
+    d = js.shape[-1] // 2
+    w = np.abs(z) ** 2
+    s_prev = _geometric_sums(w, n - 1)
+    u, y = x[..., :d], x[..., d:]
+    norms = np.sqrt(_dot(u, u).real + _geometric_sums(w, n) * _dot(y, y).real)
+    x = x / norms[..., None]
+    u, y = x[..., :d], x[..., d:]
+    r = np.einsum("...ab,...b->...a", js, x)
+    zn1 = z ** (n - 1)
+    yy = _dot(y, y).real
+    quot = _dot(u, r[..., :d]) + zn1.conj() * _dot(y, r[..., d:]) + s_prev * z * yy
+    top = r[..., :d] - quot[..., None] * u
+    bottom = r[..., d:] - (quot * zn1)[..., None] * y
+    residual = np.sqrt(
+        _dot(top, top).real + _dot(bottom, bottom).real + s_prev * np.abs(z - quot) ** 2 * yy
+    )
+    return quot, u, residual
+
+
+def _kernels(bordered: np.ndarray, js: np.ndarray, n: int, owner: np.ndarray, z: np.ndarray):
+    """Rayleigh data of one bordered kernel solve per eigenvalue z of member ``owner``.
+
+    ``bordered`` holds each member's [[K(0), b], [b*, 0]]; the stacks of
+    K(z) are solved in slices of at most ``_CHUNK_ENTRIES`` entries.
+    """
+    d2 = js.shape[-1]
+    diag = np.arange(d2)
+    shift = np.where(diag < d2 // 2, z[:, None], -(z**n)[:, None])
+    rhs = np.zeros((d2 + 1, 1))
+    rhs[d2] = 1.0
+    rows = max(1, _CHUNK_ENTRIES // (d2 + 1) ** 2)
+    parts = []
+    for lo in range(0, z.size, rows):
+        sl = slice(lo, lo + rows)
+        kz = bordered[owner[sl]]
+        kz[:, diag, diag] += shift[sl]
+        x = _solve_or_nan(kz, np.broadcast_to(rhs, kz.shape[:-1] + (1,)))[:, :d2, 0]
+        parts.append(_rayleigh(js[owner[sl]], n, z[sl], x))
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+def _dilation_eig(js: np.ndarray, n: int, theta: np.ndarray):
+    """Eigen-data of the degree-N dilations of Julia operators, U never formed.
+
+    Returns, as :func:`_rotated_eigh` does, the Rayleigh quotients, the
+    eigenvectors (here only their leading d rows, (k, d, m)), the computed
+    angles, the largest |lam| and the largest eigen-residual.  The kernel
+    vector of each eigenvalue z = e^{i(theta + 2 arctan lam)} comes from
+    K(z) = [[z - T, -D_T*], [D_T, -(z^N + T*)]] bordered by a fixed vector
+    b, [[K, b], [b*, 0]] (x, mu) = (0, 1): x is parallel to K^{-1} b, and
+    the bordered matrix stays regular where K(z) is singular to working
+    precision.  Where the error bound residual / gap of the eigenvector
+    exceeds ``_VECTOR_TOL``, a second solve at the Rayleigh quotient (one
+    step of Rayleigh quotient iteration) removes the error of the
+    eigenvalue solve from the vector.
+    """
+    k, d2, _ = js.shape
+    h = _dilation_cayley(js, n, theta)
+    singular = ~np.isfinite(h).all(axis=(1, 2))
+    h[singular] = 0.0
+    lam = np.linalg.eigvalsh(h)
+    del h
+    m = lam.shape[1]
+    ang = theta[:, None] + 2.0 * np.arctan(lam)
+    diag = np.arange(d2)
+    border = np.exp(1j * _GOLDEN_ANGLE * (diag + 1.0) ** 2)  # no structure to be orthogonal to
+    bordered = np.zeros((k, d2 + 1, d2 + 1), dtype=np.complex128)
+    bordered[:, :d2, :d2] = js
+    bordered[:, : d2 // 2, :d2] *= -1.0
+    bordered[:, :d2, d2] = border
+    bordered[:, d2, :d2] = border.conj()
+    owner = np.repeat(np.arange(k), m)
+    quot, u, residual = _kernels(bordered, js, n, owner, np.exp(1j * ang).ravel())
+    # a unit eigenvector is off by at most residual / (gap to its neighbours)
+    again = residual > _VECTOR_TOL * _nearest_gaps(np.angle(quot).reshape(k, m)).ravel()
+    if again.any():
+        quot[again], u[again], residual[again] = _kernels(
+            bordered, js, n, owner[again], quot[again]
+        )
+    residual = residual.reshape(k, m).max(axis=1, initial=0.0)
+    big = np.abs(lam).max(axis=1, initial=0.0)
+    big[singular] = residual[singular] = np.inf
+    return quot.reshape(k, m), np.swapaxes(u.reshape(k, m, -1), 1, 2), ang, big, residual
+
+
+def _dilation_eigs(js: np.ndarray, n: int):
+    """Eigenangles (k, m) and leading eigenvector rows (k, d, m) of k dilations.
+
+    The structured solve of :func:`_dilation_eig` under the pole placements
+    of :func:`_pole_search`; a member whose residual still fails, or whose
+    eigenangles come closer than ``_GAP_MIN``, goes through the dense
+    :func:`_unitary_eigh` of its dilation unitary.
+    """
+    quot, lead, residual = _pole_search(
+        lambda todo, theta: _dilation_eig(js[todo], n, theta), len(js)
+    )
+    ang = np.angle(quot)
+    dense = ~(residual <= _RESIDUAL_FAIL) | (_circle_gaps(ang)[1].min(axis=1) < _GAP_MIN)
+    if dense.any():
+        ang[dense], vec = _unitary_eigh(unitaries_from_julia(js[dense], n))
+        lead[dense] = vec[:, : lead.shape[1]]
+    return ang, lead
+
+
+def _jump_lists(ang, lead, drop_tol: float):
     """Cluster each member's eigenangles and compress its eigenprojections.
 
-    Angles are wrapped into (0, 2pi] and sorted per member.  A cluster starts
-    at each member's first angle and wherever consecutive angles differ by
-    more than ``CLUSTER_TOL``; its block sums the rank-one compressions z z*
-    of its eigenvectors and its angle is the mean of its angles.  Blocks of
-    Hilbert-Schmidt norm at most ``drop_tol`` carry no mass and are dropped.
+    ``lead`` holds the compressed eigenvectors z, (k, c, m): the leading c
+    rows of the unit eigenvectors.  Angles are wrapped into (0, 2pi] and
+    sorted per member.  A cluster starts at each member's first angle and
+    wherever consecutive angles differ by more than ``CLUSTER_TOL``; its
+    block sums the rank-one compressions z z* and its angle is the mean of
+    its angles.  Blocks of Hilbert-Schmidt norm at most ``drop_tol`` carry
+    no mass and are dropped.
     Returns one (angles, blocks) pair per member.
     """
     k, m = ang.shape
+    compress_dim = lead.shape[1]
     ang = _wrap_angles(ang)
     order = np.argsort(ang, axis=1, kind="stable")
     ang = np.take_along_axis(ang, order, axis=1)
-    z = np.take_along_axis(vec[:, :compress_dim, :], order[:, None, :], axis=2)
+    z = np.take_along_axis(lead, order[:, None, :], axis=2)
     first = np.ones((k, m), dtype=bool)
     first[:, 1:] = np.diff(ang, axis=1) > CLUSTER_TOL
     starts = np.flatnonzero(first)
@@ -242,7 +461,7 @@ def spectral_cdf_unitary(u) -> SemiSpectralCDF:
     if not is_unitary(u):
         raise ValueError("input is not unitary within tolerance")
     ang, vec = _unitary_eigh(u[None])
-    [(angles, blocks)] = _jump_lists(ang, vec, u.shape[0], drop_tol=-1.0)
+    [(angles, blocks)] = _jump_lists(ang, vec, drop_tol=-1.0)
     return SemiSpectralCDF(dim=u.shape[0], angles=angles, blocks=blocks)
 
 
@@ -267,24 +486,26 @@ def semispectral_cdfs(ts, n: int) -> list[SemiSpectralCDF]:
     the moment identity up to power N (checked for every member; a residual
     beyond ``MOMENT_FAIL`` raises :class:`MomentConsistencyError`).  Callers
     must pick N at least as large as the highest power they intend to
-    integrate.  Members go through the dilation and the eigensolve in chunks
-    of at most ``_CHUNK_ENTRIES`` dilation entries, so memory stays bounded
-    for any stack length.
+    integrate.  Members go through the eigensolve in chunks whose Cayley
+    matrices hold at most ``_CHUNK_ENTRIES`` entries, and their kernel
+    stacks go through in slices of that size, so memory stays bounded for
+    any stack length.
     """
     ts = as_operator_stack(ts)
     if n < 1:
         raise ValueError("dilation degree must be at least 1")
+    js = julia_operators(ts)
     d = ts.shape[1]
-    per = max(1, _CHUNK_ENTRIES // ((n + 1) * d) ** 2)
+    m = (n + 1) * d
+    per = max(1, _CHUNK_ENTRIES // m**2)
     cdfs: list[SemiSpectralCDF] = []
     for lo in range(0, ts.shape[0], per):
-        chunk = ts[lo : lo + per]
-        ang, vec = _unitary_eigh(dilation_unitaries(chunk, n))
+        ang, lead = _dilation_eigs(js[lo : lo + per], n)
         found = [
             SemiSpectralCDF(dim=d, angles=angles, blocks=blocks)
-            for angles, blocks in _jump_lists(ang, vec, d, _DROP_TOL)
+            for angles, blocks in _jump_lists(ang, lead, _DROP_TOL)
         ]
-        residual = _moment_residuals(found, chunk, n).max()
+        residual = _moment_residuals(found, ts[lo : lo + per], n).max()
         if residual > MOMENT_FAIL:
             raise MomentConsistencyError(
                 f"dilated CDF moment residual {residual:.3e} exceeds {MOMENT_FAIL:g}"

@@ -165,7 +165,8 @@ def eta_moments_linear(path: PerturbationPath, ms) -> dict[int, complex]:
 
     The s-integrand of c_m is a polynomial of degree m+1, so one
     Gauss-Legendre rule of (max(ms)+3)//2 nodes integrates every requested
-    moment exactly; each node walks one power ladder up to max(ms)+1.
+    moment exactly; one power ladder up to max(ms)+1 walks the stack of all
+    node points.
     """
     if path.kind != LINEAR:
         raise ValueError("moment route is defined for linear paths")
@@ -177,11 +178,10 @@ def eta_moments_linear(path: PerturbationPath, ms) -> dict[int, complex]:
     top = max(ms) + 1
     nodes, weights = gauss_legendre_01((top + 2) // 2)
     v = path.direction
-    base = power_ladder(path.base, top)
-    total = np.zeros(top + 1, dtype=np.complex128)
-    for s_i, w_i in zip(nodes, weights):
-        diff = power_ladder(path.at(float(s_i)), top) - base
-        total += w_i * np.einsum("ab,kba->k", v, diff)
+    points = np.stack([path.base] + [path.at(float(s_i)) for s_i in nodes])
+    ladder = power_ladder(points, top)
+    traces = np.einsum("ab,ksba->ks", v, ladder[:, 1:] - ladder[:, :1])
+    total = traces @ weights
     return {m: complex(total[m + 1] / (m + 1)) for m in ms}
 
 
@@ -189,8 +189,8 @@ def eta_moment_linear(path: PerturbationPath, m: int) -> complex:
     """Contour moment c_m of the linear-path shift function, exactly.
 
     The one-member case of :func:`eta_moments_linear`: ceil((m+2)/2)
-    Gauss-Legendre nodes, one power ladder up to m+1 per node; the result
-    is reproducible bit for bit.
+    Gauss-Legendre nodes, one power ladder up to m+1 over their stack; the
+    result is reproducible bit for bit.
     """
     return eta_moments_linear(path, [m])[m]
 

@@ -3,14 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from specshift import (
+    DefectPair,
     DilationError,
     defects,
     hs_difference_schaffer,
     hs_norm,
     n_dilation,
     schaffer_window,
+    semispectral_cdf,
 )
-from specshift import sampling
+from specshift import dilation, sampling
 
 
 def block(window: np.ndarray, d: int, i: int, j: int) -> np.ndarray:
@@ -174,3 +176,28 @@ class TestNDilation:
 
     def test_dilation_error_type_exists(self):
         assert issubclass(DilationError, RuntimeError)
+
+    def test_layout_gram_is_the_julia_gram(self):
+        # U*U - I = (J*J - I) padded with zeros, for any 2d x 2d blocks J
+        rng = np.random.default_rng(14)
+        js = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        gram_j = np.linalg.norm(np.swapaxes(js.conj(), 1, 2) @ js - np.eye(4), axis=(1, 2))
+        for n in (1, 2, 5):
+            u = dilation.unitaries_from_julia(js, n)
+            gram_u = np.swapaxes(u.conj(), 1, 2) @ u - np.eye(u.shape[1])
+            assert_allclose(np.linalg.norm(gram_u, axis=(1, 2)), gram_j, rtol=1e-12)
+
+    def test_unitarity_is_checked_on_the_julia_operator(self, monkeypatch):
+        exact = dilation.defects_from_svd
+
+        def skewed(*svd):
+            # D_T off by 1e-6 leaves J, and every dilation of T, that far from unitary
+            pair = exact(*svd)
+            return DefectPair(d_t=pair.d_t * (1.0 + 1e-6), d_tstar=pair.d_tstar)
+
+        monkeypatch.setattr(dilation, "defects_from_svd", skewed)
+        t = sampling.random_contraction(np.random.default_rng(13), 3)
+        with pytest.raises(DilationError):
+            n_dilation(t, 4)
+        with pytest.raises(DilationError):
+            semispectral_cdf(t, 4)

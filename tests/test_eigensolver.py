@@ -1,10 +1,12 @@
-"""The rotated-Cayley eigensolver against a Schur oracle, and the batched
+"""The rotated-Cayley eigensolvers against a Schur oracle, and the batched
 semi-spectral path.
 
 The oracle is the complex Schur route: for a unitary the Schur basis is
 orthonormal and its columns are eigenvectors, so clustering its diagonal and
 compressing its columns gives the reference jump measure.  It lives here
-only; the library has one eigensolver.
+only.  The structured dilation route (Woodbury Cayley matrix, eigenvalues
+only, eigenvectors from 2d x 2d kernels) is checked against the dense solve
+of the dilation unitary, which it falls back to.
 """
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from specshift import MomentConsistencyError, dilation_unitaries, n_dilation, sampling
-from specshift import semispectral
+from specshift import SelfAdjointPair, semispectral, shift_step_representation
+from specshift.dilation import julia_operators
 from specshift.opcore import DEFECT_CLAMP
 from specshift.semispectral import (
     CLUSTER_TOL,
@@ -160,25 +163,154 @@ class TestContractionEdge:
         assert moment_residual(cdf, t, n) <= 1e-9
 
 
+SCALAR = dict(
+    radius=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    phase=st.one_of(st.sampled_from([0.0, 0.5 * np.pi, np.pi]), st.floats(0.0, TWO_PI)),
+    n=st.integers(1, 12),
+)
+
+
+def assert_characteristic_roots(angles, t, n):
+    # for d = 1 the degree-N dilation has characteristic polynomial
+    # z^{N+1} - t z^N + conj(t) z - 1.  The eigenvalues are compared with
+    # its roots through the coefficients: root finding loses half the
+    # digits at the double roots of |t| = 1, t^{N+1} = -1 (t = -1, N even)
+    expected = np.zeros(n + 2, dtype=complex)
+    expected[0], expected[-1] = 1.0, -1.0
+    expected[1] -= t
+    expected[-2] += np.conj(t)
+    assert_allclose(np.poly(np.exp(1j * angles)), expected, rtol=0, atol=1e-12)
+
+
 class TestScalarDilationSpectrum:
     @settings(max_examples=200, deadline=None)
-    @given(
-        radius=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
-        phase=st.one_of(st.sampled_from([0.0, 0.5 * np.pi, np.pi]), st.floats(0.0, TWO_PI)),
-        n=st.integers(1, 12),
-    )
+    @given(**SCALAR)
     def test_eigenvalues_are_the_characteristic_roots(self, radius, phase, n):
-        # for d = 1 the degree-N dilation has characteristic polynomial
-        # z^{N+1} - t z^N + conj(t) z - 1.  The eigenvalues are compared with
-        # its roots through the coefficients: root finding loses half the
-        # digits at the double roots of |t| = 1, t^{N+1} = -1 (t = -1, N even)
         t = radius * np.exp(1j * phase)
         angles, _ = semispectral._unitary_eigh(dilation_unitaries([[[t]]], n))
-        expected = np.zeros(n + 2, dtype=complex)
-        expected[0], expected[-1] = 1.0, -1.0
-        expected[1] -= t
-        expected[-2] += np.conj(t)
-        assert_allclose(np.poly(np.exp(1j * angles[0])), expected, rtol=0, atol=1e-12)
+        assert_characteristic_roots(angles[0], t, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SCALAR)
+    def test_structured_route_has_the_characteristic_roots(self, radius, phase, n):
+        t = radius * np.exp(1j * phase)
+        angles, _ = semispectral._dilation_eigs(julia_operators([[[t]]]), n)
+        assert_characteristic_roots(angles[0], t, n)
+
+
+def dense_jumps(ts, n, drop_tol=-1.0):
+    ang, vec = semispectral._unitary_eigh(dilation_unitaries(ts, n))
+    return semispectral._jump_lists(ang, vec[:, : ts.shape[1]], drop_tol)
+
+
+def assert_same_jumps(got, want, atol=1e-12):
+    assert len(got) == len(want)
+    for (angles, blocks), (want_angles, want_blocks) in zip(got, want):
+        assert angles.shape == want_angles.shape
+        assert_allclose(angles, want_angles, rtol=0, atol=atol)
+        assert_allclose(blocks, want_blocks, rtol=0, atol=atol)
+
+
+def spy_dense(monkeypatch):
+    calls = []
+    original = semispectral._unitary_eigh
+
+    def wrapped(u):
+        calls.append(u.shape[0])
+        return original(u)
+
+    monkeypatch.setattr(semispectral, "_unitary_eigh", wrapped)
+    return calls
+
+
+def edge_contraction(rng, kind, dim):
+    if kind == "generic":
+        return sampling.random_contraction(rng, dim)
+    if kind == "zero":
+        return np.zeros((dim, dim), dtype=complex)
+    if kind == "unitary":  # D_T = 0
+        return sampling.random_unitary(rng, dim)
+    # norm one: largest singular value 1, or above it inside the clamp
+    w = sampling.random_unitary(rng, dim)
+    x = sampling.random_unitary(rng, dim)
+    sig = np.sort(rng.uniform(0.0, 1.0, dim))[::-1]
+    sig[0] = 1.0 + float(kind) * DEFECT_CLAMP
+    return (w * sig) @ x.conj().T
+
+
+KIND = st.sampled_from(["generic", "unitary", "zero", "0.0", "0.2", "0.45"])
+
+
+class TestStructuredRoute:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=SEED,
+        dim=st.integers(1, 6),
+        n=st.integers(1, 36),
+        kinds=st.lists(KIND, min_size=1, max_size=3),
+    )
+    def test_agrees_with_the_dense_solve(self, seed, dim, n, kinds):
+        rng = np.random.default_rng(seed)
+        ts = np.stack([edge_contraction(rng, kind, dim) for kind in kinds])
+        ang, vec = semispectral._unitary_eigh(dilation_unitaries(ts, n))
+        want = semispectral._jump_lists(ang, vec[:, :dim], -1.0)
+        # the dense eigenvectors of eigenvalues 1e-4 apart are good to about
+        # 1e-12 only; eigenvalues closer than that are either one cluster
+        # or a knife edge of either route
+        for row in np.sort(np.mod(ang, TWO_PI), axis=1):
+            gaps = np.diff(row, append=row[0] + TWO_PI)
+            assume(not np.any((gaps > 0.5 * CLUSTER_TOL) & (gaps < 1e-4)))
+        js = julia_operators(ts)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_dense(mp)
+            ang, lead = semispectral._dilation_eigs(js, n)
+        # inside the defect clamp the dilation is unitary only to the Gram
+        # residual of its Julia operator, and its eigenprojections are
+        # fixed only to about that much
+        gram = np.swapaxes(js.conj(), 1, 2) @ js - np.eye(2 * dim)
+        atol = 1e-12 + np.linalg.norm(gram, axis=(1, 2)).max()
+        assert_same_jumps(semispectral._jump_lists(ang, lead, -1.0), want, atol)
+        if dim > 1 and "zero" in kinds:
+            # T = 0 dilates to the block shift: the roots of z^{N+1} = 1,
+            # each d times, which no 2d x 2d kernel separates
+            assert sum(calls) >= kinds.count("zero")
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-8, -1e-8])
+    @pytest.mark.parametrize("dim,n,k", [(2, 8, 0), (3, 12, 5), (4, 36, 20)])
+    def test_first_pole_on_the_shift_spectrum(self, monkeypatch, dim, n, k, offset):
+        # at theta = pi - 2 pi k/(N+1) the pole -e^{i theta} is an eigenvalue
+        # of the block shift: (-e^{-i theta})^{N+1} = 1 and the circulant
+        # (I + e^{-i theta} P)^{-1} does not exist
+        theta = np.pi - TWO_PI * k / (n + 1) + offset
+        monkeypatch.setattr(semispectral, "_THETA0", theta)
+        tried = []
+        original = semispectral._dilation_eig
+
+        def wrapped(js, n, theta):
+            tried.append(theta.copy())
+            return original(js, n, theta)
+
+        monkeypatch.setattr(semispectral, "_dilation_eig", wrapped)
+        rng = np.random.default_rng(dim * 100 + n)
+        ts = np.stack([sampling.random_contraction(rng, dim) for _ in range(4)])
+        cdfs = semispectral_cdfs(ts, n)  # MOMENT_FAIL would raise here
+        first = [c.size for c in tried if np.all(c == theta)]
+        assert sum(first) == 4 and sum(c.size for c in tried) >= 8  # every member moved
+        want = dense_jumps(ts, n, semispectral._DROP_TOL)
+        assert_same_jumps([(cdf.angles, cdf.blocks) for cdf in cdfs], want)
+        for t, cdf in zip(ts, cdfs):
+            assert moment_residual(cdf, t, n) <= 1e-9
+
+    def test_resolvent_paths_take_no_dense_solve(self, monkeypatch):
+        # the 33-point stacks of the resolvent pipeline at dims 2/4/6, N = 36
+        calls = spy_dense(monkeypatch)
+        rng = np.random.default_rng(11)
+        for dim in (2, 4, 6):
+            h, h0 = (sampling.random_hermitian(rng, dim) for _ in range(2))
+            pair = SelfAdjointPair(h, h0)
+            step = shift_step_representation(pair.circle_path(), max_power=36, degree=36)
+            assert step.angles.size > 0
+        assert calls == []
 
 
 class TestRetryPath:
@@ -247,15 +379,15 @@ class TestBatch:
     def test_corrupted_member_raises(self, monkeypatch):
         rng = np.random.default_rng(5)
         ts = np.stack([sampling.random_contraction(rng, 3) for _ in range(5)])
-        other = semispectral.dilation_unitaries(ts[:1] * 0.5, 4)[0]
-        original = semispectral.dilation_unitaries
+        other = julia_operators(ts[:1] * 0.5)[0]
+        original = semispectral.julia_operators
 
-        def corrupt(chunk, n):
-            u = original(chunk, n)
-            u[3] = other  # still unitary, but the dilation of another operator
-            return u
+        def corrupt(chunk):
+            js = original(chunk)
+            js[3] = other  # still unitary, but the dilation data of another operator
+            return js
 
-        monkeypatch.setattr(semispectral, "dilation_unitaries", corrupt)
+        monkeypatch.setattr(semispectral, "julia_operators", corrupt)
         with pytest.raises(MomentConsistencyError):
             semispectral_cdfs(ts, 4)
 

@@ -111,9 +111,6 @@ class SelfAdjointPair:
     def dim(self) -> int:
         return self.h.shape[0]
 
-    def transforms(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._transforms
-
     def circle_path(self) -> PerturbationPath:
         u, u0 = self._transforms
         return PerturbationPath.linear(u0, u - u0)
@@ -146,9 +143,6 @@ class DissipativePair:
     @property
     def dim(self) -> int:
         return self.l.shape[0]
-
-    def transforms(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._transforms
 
     def circle_path(self) -> PerturbationPath:
         t, t0 = self._transforms

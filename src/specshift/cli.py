@@ -445,18 +445,22 @@ def run_report(cfg: CampaignConfig) -> int:
     if not reports_file.exists():
         print(f"no reports.json under {out}", file=sys.stderr)
         return 2
-    with open(reports_file) as fh:
-        entries = json.load(fh)
     by_kind: dict[str, dict] = {}
-    for entry in entries:
-        slot = by_kind.setdefault(
-            entry["kind"], {"count": 0, "failed": 0, "max_residual": 0.0}
-        )
-        slot["count"] += 1
-        slot["failed"] += entry["verdict"] != "pass"
-        residual = entry["residual"]  # null when it was not finite
-        if residual is not None and math.isfinite(residual):
-            slot["max_residual"] = max(slot["max_residual"], residual)
+    try:
+        with open(reports_file) as fh:
+            entries = json.load(fh)
+        for entry in entries:
+            slot = by_kind.setdefault(
+                entry["kind"], {"count": 0, "failed": 0, "max_residual": 0.0}
+            )
+            slot["count"] += 1
+            slot["failed"] += entry["verdict"] != "pass"
+            residual = entry["residual"]  # null when it was not finite
+            if residual is not None and math.isfinite(residual):
+                slot["max_residual"] = max(slot["max_residual"], residual)
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        print(f"malformed {reports_file}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     summary = {"kinds": by_kind, "total": len(entries)}
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=1, sort_keys=True)

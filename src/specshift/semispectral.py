@@ -7,25 +7,25 @@ for 0 <= n <= N.  Angles live in (0, 2pi], with eigenvalue 1 assigned angle
 2pi so that the cumulative function vanishes at 0 - this convention is load
 bearing: it makes the boundary terms of every integration by parts drop out.
 
-Spectra of unitaries come from a Hermitian eigensolve.  The rotated Cayley
-map sends U to H = i(I - w)(I + w)^{-1} with w = e^{-i theta} U; H has the
-eigenvectors of U and its eigenvalues lam locate the eigenangles at
-theta + 2 arctan(lam); the angles kept are the arguments of the Rayleigh
-quotients v* U v, accurate to rounding however close the pole
--e^{i theta} comes to the spectrum.
-
 A dilation unitary of size m = (N+1)d is never formed: it is a rank-2d
 change of the block cyclic shift by the 2d x 2d Julia operator of T, on
 which its unitarity is checked (:func:`~specshift.dilation.julia_operators`).
-H comes from Woodbury's identity in O(m^2 d), only its eigenvalues are
-computed, and each eigenvector comes from the kernel of a 2d x 2d pencil
-(:func:`_dilation_eig`).  A member goes through the dense solve of U
-instead when two of its eigenangles lie closer than ``_GAP_MIN`` (a kernel
-then no longer fixes one eigenvector: clusters, T = 0, coincidences at
-unitary T), when no pole placement keeps the shift's circulant regular
-(``_CIRCULANT_MIN``), or when an eigen-residual exceeds ``_RESIDUAL_FAIL``.
-A stack of members (all the dilations of one path) is solved together, in
-chunks of at most ``_CHUNK_ENTRIES`` entries per stacked array.
+Its spectrum comes from the rotated Cayley map H = i(I - w)(I + w)^{-1},
+w = e^{-i theta} U: H is Hermitian, built by Woodbury's identity in
+O(m^2 d), and its eigenvalues lam locate the eigenangles at
+theta + 2 arctan(lam).  Only these are computed; each eigenvector comes
+from the kernel of a 2d x 2d pencil (:func:`_dilation_eig`), and the angle
+kept is the argument of its Rayleigh quotient v* U v, accurate to rounding
+however close the pole -e^{i theta} comes to the spectrum.  A member goes
+through a dense complex Schur decomposition of U instead
+(:func:`_unitary_eigh`) when two of its eigenangles lie closer than
+``_GAP_MIN`` (a kernel then no longer fixes one eigenvector: clusters,
+T = 0, coincidences at unitary T), when no pole placement keeps the shift's
+circulant regular (``_CIRCULANT_MIN``), or when an eigen-residual exceeds
+``_RESIDUAL_FAIL``.  A general unitary (:func:`spectral_cdf_unitary`) has
+no dilation structure and always takes the Schur route.  A stack of
+members (all the dilations of one path) is solved together, in chunks of
+at most ``_CHUNK_ENTRIES`` entries per stacked array.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .dilation import julia_operators, unitaries_from_julia
 from .opcore import as_operator, as_operator_stack, hs_norm, is_unitary, power_ladder
@@ -48,7 +49,6 @@ __all__ = [
 
 CLUSTER_TOL = 1e-9        # eigenangles closer than this are one jump
 MASS_TOL = 1e-9           # | sum of jumps - I |
-PSD_TOL = 1e-10           # jump blocks may dip this far below PSD
 MOMENT_FAIL = 1e-7        # internal-consistency threshold for dilated CDFs
 _DROP_TOL = 1e-12         # compressed blocks below this norm carry no mass
 
@@ -95,26 +95,6 @@ class SemiSpectralCDF:
         if hs_norm(blocks.sum(axis=0) - np.eye(self.dim)) > MASS_TOL:
             raise ValueError("jump blocks must sum to the identity")
 
-    def validate(self) -> None:
-        """Full invariant check (PSD of every jump within ``PSD_TOL``); raises on violation."""
-        if self.blocks.size:
-            herm = float(np.abs(self.blocks - self.blocks.conj().transpose(0, 2, 1)).max())
-            if herm > 10 * PSD_TOL:
-                raise ValueError(f"jump blocks not Hermitian: deviation {herm:.3e}")
-            sym = 0.5 * (self.blocks + self.blocks.conj().transpose(0, 2, 1))
-            low = float(np.linalg.eigvalsh(sym).min())
-            if low < -PSD_TOL:
-                raise ValueError(f"jump block eigenvalue {low:.3e} below PSD tolerance")
-
-    def value(self, t: float) -> np.ndarray:
-        """Cumulative value at t in [0, 2pi]."""
-        if not 0.0 <= t <= 2.0 * np.pi + 1e-12:
-            raise ValueError("evaluation angle outside [0, 2pi]")
-        idx = int(np.searchsorted(self.angles, t, side="right"))
-        if idx == 0:
-            return np.zeros((self.dim, self.dim), dtype=np.complex128)
-        return self.blocks[:idx].sum(axis=0)
-
     def moments(self, ns) -> np.ndarray:
         """sum_j e^{i n t_j} J_j, n in ``ns``; reproduces T^n (adjoint powers for n < 0)."""
         ns = np.asarray(ns)
@@ -144,44 +124,6 @@ def _solve_member(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.full_like(b, np.nan)
 
 
-def _rotated_cayley(u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Hermitian parts of i(I - w)(I + w)^{-1}, w = e^{-i theta} U, per member.
-
-    A member whose solve is singular comes back as NaN.
-    """
-    eye = np.eye(u.shape[-1])
-    w = np.exp(-1j * theta)[:, None, None] * u
-    plus = eye + w
-    minus = np.subtract(eye, w, out=w)  # w is not needed again
-    h = _solve_or_nan(plus, minus)
-    del plus, minus
-    h -= np.swapaxes(h.conj(), 1, 2)
-    h *= 0.5j
-    return h
-
-
-def _rotated_eigh(u: np.ndarray, theta: np.ndarray):
-    """Eigenvectors of rotated unitaries, with what the retry rule reads.
-
-    Returns the Rayleigh quotients v* U v, the eigenvectors, the computed
-    angles theta + 2 arctan(lam), and per member the largest |lam| and the
-    largest eigen-residual |U v - (v* U v) v|.  A singular solve reports an
-    infinite |lam| and residual.
-    """
-    h = _rotated_cayley(u, theta)
-    singular = ~np.isfinite(h).all(axis=(1, 2))
-    h[singular] = 0.0
-    lam, vec = np.linalg.eigh(h)
-    del h
-    uv = u @ vec
-    quot = np.einsum("kaj,kaj->kj", vec.conj(), uv)
-    uv -= vec * quot[:, None, :]
-    residual = np.linalg.norm(uv, axis=1).max(axis=1, initial=0.0)
-    big = np.abs(lam).max(axis=1, initial=0.0)
-    big[singular] = residual[singular] = np.inf
-    return quot, vec, theta[:, None] + 2.0 * np.arctan(lam), big, residual
-
-
 def _circle_gaps(ang: np.ndarray):
     # each row's angles sorted on the circle, and the gap after each of them
     a = np.sort(np.mod(ang, 2.0 * np.pi), axis=1)
@@ -205,52 +147,21 @@ def _pole_in_widest_gap(ang: np.ndarray) -> np.ndarray:
     return a[rows, widest] + 0.5 * gaps[rows, widest] - np.pi
 
 
-def _pole_search(solve, k: int):
-    """Run ``solve`` over the pole placements of k members.
-
-    ``solve(todo, theta)`` handles the members ``todo`` at rotations
-    ``theta`` and returns their Rayleigh quotients, eigenvectors, computed
-    angles theta + 2 arctan(lam), largest |lam| and largest eigen-residual.
-    Every member starts at the rotation ``_THETA0``.  A member whose largest
-    |lam| exceeds ``_LAMBDA_MAX`` is solved again with its pole moved to the
-    middle of the widest gap of its computed angles.  A member whose solve is
-    singular, or so close to singular that its eigen-residual exceeds
-    ``_RESIDUAL_FAIL`` (its computed angles are then meaningless), moves its
-    pole on by the golden angle, which no finite rotation group shares.  The
-    last placement is kept; returns the quotients, the eigenvectors and the
-    eigen-residuals of the placements kept.
-    """
-    theta = np.full(k, _THETA0)
-    todo = np.arange(k)
-    quot, vectors, ang, big, residual = solve(slice(None), theta)
-    kept = residual.copy()
-    for _ in range(_ATTEMPTS - 1):
-        broken = ~(residual <= _RESIDUAL_FAIL)
-        retry = broken | (big > _LAMBDA_MAX)
-        if not retry.any():
-            break
-        todo = todo[retry]
-        pole = _pole_in_widest_gap(ang[retry])
-        theta[todo] = np.where(broken[retry], theta[todo] + _GOLDEN_ANGLE, pole)
-        q, vec, ang, big, residual = solve(todo, theta[todo])
-        quot[todo], vectors[todo], kept[todo] = q, vec, residual
-    return quot, vectors, kept
-
-
 def _unitary_eigh(u: np.ndarray):
     """Eigenangles (k, m) and orthonormal eigenvectors of k dense unitaries.
 
-    Pole placements as in :func:`_pole_search`; a member whose residual
-    still fails at the last one raises ``LinAlgError``.  The angles are the
-    arguments of the Rayleigh quotients v* U v, which stay within an ulp or
-    so of the eigenangles at any pole distance; they are not yet wrapped.
+    One complex Schur decomposition per member: the triangular factor of a
+    unitary is diagonal to rounding, so its diagonal holds the eigenvalues,
+    which are the Rayleigh quotients of the Schur vectors, and the Schur
+    vectors are orthonormal eigenvectors, clusters included.  The angles
+    are not yet wrapped.
     """
-    quot, vectors, residual = _pole_search(
-        lambda todo, theta: _rotated_eigh(u[todo], theta), len(u)
-    )
-    if residual.max(initial=0.0) <= _RESIDUAL_FAIL:
-        return np.angle(quot), vectors
-    raise np.linalg.LinAlgError("rotated Cayley eigensolve failed at every pole placement")
+    ang = np.empty(u.shape[:2])
+    vectors = np.empty(u.shape, dtype=np.complex128)
+    for j, member in enumerate(u):
+        s, vectors[j] = scipy.linalg.schur(member, output="complex")
+        ang[j] = np.angle(np.diagonal(s))
+    return ang, vectors
 
 
 def _dilation_cayley(js: np.ndarray, n: int, theta: np.ndarray) -> np.ndarray:
@@ -323,6 +234,9 @@ def _rayleigh(js: np.ndarray, n: int, z: np.ndarray, x: np.ndarray):
     s_prev = _geometric_sums(w, n - 1)
     u, y = x[..., :d], x[..., d:]
     norms = np.sqrt(_dot(u, u).real + _geometric_sums(w, n) * _dot(y, y).real)
+    bad = ~(norms > 0.0)  # a singular kernel solve left x NaN (or zero): no eigenvector
+    if bad.any():  # a complex division by a NaN or zero norm warns; NaN over 1 does not
+        x, norms = np.where(bad[..., None], np.nan, x), np.where(bad, 1.0, norms)
     x = x / norms[..., None]
     u, y = x[..., :d], x[..., d:]
     r = np.einsum("...ab,...b->...a", js, x)
@@ -362,14 +276,15 @@ def _kernels(bordered: np.ndarray, js: np.ndarray, n: int, owner: np.ndarray, z:
 def _dilation_eig(js: np.ndarray, n: int, theta: np.ndarray):
     """Eigen-data of the degree-N dilations of Julia operators, U never formed.
 
-    Returns, as :func:`_rotated_eigh` does, the Rayleigh quotients, the
-    eigenvectors (here only their leading d rows, (k, d, m)), the computed
-    angles, the largest |lam| and the largest eigen-residual.  The kernel
-    vector of each eigenvalue z = e^{i(theta + 2 arctan lam)} comes from
-    K(z) = [[z - T, -D_T*], [D_T, -(z^N + T*)]] bordered by a fixed vector
-    b, [[K, b], [b*, 0]] (x, mu) = (0, 1): x is parallel to K^{-1} b, and
-    the bordered matrix stays regular where K(z) is singular to working
-    precision.  Where the error bound residual / gap of the eigenvector
+    Returns the Rayleigh quotients v* U v, the leading d rows (k, d, m) of
+    the unit eigenvectors, the computed angles theta + 2 arctan(lam), and
+    per member the largest |lam| and the largest eigen-residual
+    |U v - (v* U v) v|; a singular member reports both as infinite.  The
+    kernel vector of each eigenvalue z = e^{i(theta + 2 arctan lam)} comes
+    from K(z) = [[z - T, -D_T*], [D_T, -(z^N + T*)]] bordered by a fixed
+    vector b, [[K, b], [b*, 0]] (x, mu) = (0, 1): x is parallel to
+    K^{-1} b, and the bordered matrix stays regular where K(z) is singular
+    to working precision.  Where the error bound residual / gap of the eigenvector
     exceeds ``_VECTOR_TOL``, a second solve at the Rayleigh quotient (one
     step of Rayleigh quotient iteration) removes the error of the
     eigenvalue solve from the vector.
@@ -406,16 +321,32 @@ def _dilation_eig(js: np.ndarray, n: int, theta: np.ndarray):
 def _dilation_eigs(js: np.ndarray, n: int):
     """Eigenangles (k, m) and leading eigenvector rows (k, d, m) of k dilations.
 
-    The structured solve of :func:`_dilation_eig` under the pole placements
-    of :func:`_pole_search`; a member whose residual still fails, or whose
-    eigenangles come closer than ``_GAP_MIN``, goes through the dense
-    :func:`_unitary_eigh` of its dilation unitary.
+    Every member starts at the rotation ``_THETA0``.  A member whose largest
+    |lam| exceeds ``_LAMBDA_MAX`` is solved again with its pole moved to the
+    middle of the widest gap of its computed angles.  A member whose solve
+    is singular, or so close to singular that its eigen-residual exceeds
+    ``_RESIDUAL_FAIL`` (its computed angles are then meaningless), moves its
+    pole on by the golden angle, which no finite rotation group shares.  The
+    last of ``_ATTEMPTS`` placements is kept; a member whose residual still
+    fails there, or whose eigenangles come closer than ``_GAP_MIN``, goes
+    through the dense :func:`_unitary_eigh` of its dilation unitary.
     """
-    quot, lead, residual = _pole_search(
-        lambda todo, theta: _dilation_eig(js[todo], n, theta), len(js)
-    )
+    theta = np.full(len(js), _THETA0)
+    todo = np.arange(len(js))
+    quot, lead, ang, big, residual = _dilation_eig(js, n, theta)
+    kept = residual.copy()
+    for _ in range(_ATTEMPTS - 1):
+        broken = ~(residual <= _RESIDUAL_FAIL)
+        retry = broken | (big > _LAMBDA_MAX)
+        if not retry.any():
+            break
+        todo = todo[retry]
+        pole = _pole_in_widest_gap(ang[retry])
+        theta[todo] = np.where(broken[retry], theta[todo] + _GOLDEN_ANGLE, pole)
+        q, u, ang, big, residual = _dilation_eig(js[todo], n, theta[todo])
+        quot[todo], lead[todo], kept[todo] = q, u, residual
     ang = np.angle(quot)
-    dense = ~(residual <= _RESIDUAL_FAIL) | (_circle_gaps(ang)[1].min(axis=1) < _GAP_MIN)
+    dense = ~(kept <= _RESIDUAL_FAIL) | (_circle_gaps(ang)[1].min(axis=1) < _GAP_MIN)
     if dense.any():
         ang[dense], vec = _unitary_eigh(unitaries_from_julia(js[dense], n))
         lead[dense] = vec[:, : lead.shape[1]]

@@ -137,6 +137,21 @@ class TestExitCodes:
         code = main(["report", "--out", str(tmp_path / "nothing")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '[{"kind": "linear", "residual": 0.0}]',  # an entry without a verdict
+        ],
+    )
+    def test_report_malformed_reports_json(self, tmp_path, capsys, text):
+        (tmp_path / "reports.json").write_text(text)
+        code = main(["report", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("malformed ")
+        assert not (tmp_path / "summary.json").exists()
+
 
 class TestCampaigns:
     def test_zero_direction_fixture_all_residuals_zero(self, tmp_path):

@@ -1,13 +1,20 @@
-"""The rotated-Cayley eigensolvers against a Schur oracle, and the batched
-semi-spectral path.
+"""The dense and structured eigensolvers against a Schur oracle, and the
+batched semi-spectral path.
 
 The oracle is the complex Schur route: for a unitary the Schur basis is
 orthonormal and its columns are eigenvectors, so clustering its diagonal and
-compressing its columns gives the reference jump measure.  It lives here
-only.  The structured dilation route (Woodbury Cayley matrix, eigenvalues
-only, eigenvectors from 2d x 2d kernels) is checked against the dense solve
-of the dilation unitary, which it falls back to.
+compressing its columns gives the reference jump measure.  The dense solve
+(:func:`~specshift.semispectral._unitary_eigh`) is that same Schur
+decomposition, so two checks of it do not go through Schur: the moments of
+:func:`~specshift.semispectral.spectral_cdf_unitary` against matrix powers,
+and the eigenvalues of d = 1 dilations against the roots of their
+characteristic polynomial.  The structured dilation route (Woodbury Cayley
+matrix, eigenvalues only, eigenvectors from 2d x 2d kernels, pole retries)
+is checked against the dense solve of the dilation unitary, which it falls
+back to.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -157,7 +164,9 @@ class TestContractionEdge:
         sig[0] = 1.0 + excess
         t = (w * sig) @ x.conj().T
         cdf = semispectral_cdf(t, n)
-        cdf.validate()
+        herm = cdf.blocks.conj().transpose(0, 2, 1)  # every jump Hermitian and PSD
+        assert_allclose(cdf.blocks, herm, rtol=0, atol=1e-9)
+        assert np.linalg.eigvalsh(0.5 * (cdf.blocks + herm)).min() >= -1e-10
         u = n_dilation(t, n).unitary
         assert_matches_oracle(cdf, u, dim, drop_tol=1e-12)
         assert moment_residual(cdf, t, n) <= 1e-9
@@ -315,51 +324,75 @@ class TestStructuredRoute:
 
 class TestRetryPath:
     def spy(self, monkeypatch):
-        calls = []
-        original = semispectral._rotated_eigh
+        # the Julia operators and rotations of every structured solve
+        tried = []
+        original = semispectral._dilation_eig
 
-        def wrapped(u, theta):
-            calls.append(theta.copy())
-            return original(u, theta)
+        def wrapped(js, n, theta):
+            tried.append((js.copy(), theta.copy()))
+            return original(js, n, theta)
 
-        monkeypatch.setattr(semispectral, "_rotated_eigh", wrapped)
-        return calls
+        monkeypatch.setattr(semispectral, "_dilation_eig", wrapped)
+        return tried
+
+    def pole_stack(self, offset, good=1):
+        # a unitary T keeps its eigenvalues in its dilation: one of them sits
+        # on (or next to) the first rotation's pole; it is member ``good`` of
+        # the stack, with ``good`` random contractions on either side
+        rng = np.random.default_rng(1)
+        bad = unitary_with_angles(7, [POLE + offset, 0.3, 2.0])
+        ts = [sampling.random_contraction(rng, 3) for _ in range(2 * good)]
+        return np.stack(ts[:good] + [bad] + ts[good:])
 
     @pytest.mark.parametrize("offset", [0.0, 1e-5, -1e-5])
     def test_eigenvalue_on_first_pole_is_retried(self, monkeypatch, offset):
-        calls = self.spy(monkeypatch)
-        u = unitary_with_angles(7, [POLE + offset, 0.3, 2.0, np.pi])
-        cdf = spectral_cdf_unitary(u)
-        assert len(calls) == 2
-        assert calls[0][0] == semispectral._THETA0 != calls[1][0]
-        assert_matches_oracle(cdf, u, 4)
-
-    def test_singular_solve_is_retried(self, monkeypatch):
-        # at rotation 0 the pole is -1, so I + w is exactly singular for the
-        # second member; the stacked solve falls back to member by member
-        monkeypatch.setattr(semispectral, "_THETA0", 0.0)
-        calls = self.spy(monkeypatch)
-        good = np.diag([1j, 1.0, -1j])
-        bad = np.diag([-1.0, 1j, 1.0])
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(np.eye(3) + bad, np.eye(3))
-        angles, vectors = semispectral._unitary_eigh(np.stack([good, bad]))
-        assert [c.size for c in calls] == [2, 1]
-        for u, ang, vec in zip((good, bad), angles, vectors):
-            assert_allclose(u @ vec, vec * np.exp(1j * ang), atol=1e-12)
-        assert_matches_oracle(spectral_cdf_unitary(bad), bad, 3)
+        dense = spy_dense(monkeypatch)
+        tried = self.spy(monkeypatch)
+        ts = self.pole_stack(offset)
+        cdfs = semispectral_cdfs(ts, 4)
+        (_, first), (_, again) = tried
+        assert first.size == 3 and np.all(first == semispectral._THETA0)
+        assert again.size == 1 and again[0] != semispectral._THETA0
+        assert dense == []
+        for t, cdf in zip(ts, cdfs):
+            assert_matches_oracle(cdf, n_dilation(t, 4).unitary, 3, semispectral._DROP_TOL)
 
     def test_only_the_bad_member_is_retried(self, monkeypatch):
-        calls = self.spy(monkeypatch)
-        rng = np.random.default_rng(3)
-        good = sampling.random_unitary(rng, 4)
-        bad = unitary_with_angles(4, [POLE, 1.0, 2.0, 3.0])
-        u = np.stack([good, bad, good])
-        angles, vectors = semispectral._unitary_eigh(u)
-        assert [c.size for c in calls] == [3, 1]
-        for member in range(3):
-            eig = np.exp(1j * angles[member])
-            assert_allclose(u[member] @ vectors[member], vectors[member] * eig, atol=1e-12)
+        dense = spy_dense(monkeypatch)
+        tried = self.spy(monkeypatch)
+        ts = self.pole_stack(0.0, good=2)
+        semispectral_cdfs(ts, 4)
+        assert [theta.size for _, theta in tried] == [5, 1]
+        assert np.array_equal(tried[1][0], julia_operators(ts)[2:3])
+        assert dense == []
+
+    def test_singular_solve_is_retried(self, monkeypatch):
+        # the dilation of diag(-1, i) makes a bordered kernel system exactly
+        # singular: the stacked solve falls back to member by member, the
+        # member's vector comes back NaN, and nothing warns on the way
+        singular = []
+        original = semispectral._solve_member
+
+        def wrapped(a, b):
+            singular.append(a.shape)
+            return original(a, b)
+
+        monkeypatch.setattr(semispectral, "_solve_member", wrapped)
+        rng = np.random.default_rng(2)
+        ts = np.stack([sampling.random_contraction(rng, 2), np.diag([-1.0, 1j])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdfs = semispectral_cdfs(ts, 2)
+        assert singular
+        for t, cdf in zip(ts, cdfs):
+            assert_matches_oracle(cdf, n_dilation(t, 2).unitary, 2, semispectral._DROP_TOL)
+
+    def test_singular_member_comes_back_nan(self):
+        a = np.stack([2.0 * np.eye(3), np.diag([1.0, 0.0, 1.0]), np.eye(3)])
+        b = np.ones((3, 3, 1))
+        x = semispectral._solve_or_nan(a, b)
+        assert np.isnan(x[1]).all()
+        assert_allclose(x[[0, 2]], [0.5 * b[0], b[2]], rtol=0, atol=0)
 
 
 class TestBatch:

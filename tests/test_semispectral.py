@@ -12,6 +12,17 @@ from specshift import (
 from specshift import sampling
 
 
+def cumulative(cdf, t):
+    """Sum of the jumps at angles <= t."""
+    return cdf.blocks[: np.searchsorted(cdf.angles, t, side="right")].sum(axis=0)
+
+
+def assert_psd(blocks, tol=1e-10):
+    herm = blocks.conj().transpose(0, 2, 1)
+    assert_allclose(blocks, herm, rtol=0, atol=10 * tol)
+    assert np.linalg.eigvalsh(0.5 * (blocks + herm)).min() >= -tol
+
+
 class TestUnitarySpectralCDF:
     def test_minus_one(self):
         cdf = spectral_cdf_unitary(np.array([[-1.0]]))
@@ -35,7 +46,7 @@ class TestUnitarySpectralCDF:
     def test_projections_resolve_identity(self):
         u = sampling.random_unitary(np.random.default_rng(0), 5)
         cdf = spectral_cdf_unitary(u)
-        cdf.validate()
+        assert_psd(cdf.blocks)
         assert_allclose(cdf.blocks.sum(axis=0), np.eye(5), atol=1e-12)
         assert_allclose(cdf.moments([1])[0], u, atol=1e-12)
 
@@ -94,10 +105,10 @@ class TestSemiSpectralCDF:
         rng = np.random.default_rng(6)
         t = sampling.random_contraction(rng, 3)
         cdf = semispectral_cdf(t, 5)
-        cdf.validate()
+        assert_psd(cdf.blocks)
         grid = np.sort(rng.uniform(0, 2 * np.pi, size=6))
         for a, b in zip(grid[:-1], grid[1:]):
-            diff = cdf.value(b) - cdf.value(a)
+            diff = cumulative(cdf, b) - cumulative(cdf, a)
             assert np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)).min() >= -1e-10
 
 
@@ -106,18 +117,13 @@ class TestCdfEval:
         rng = np.random.default_rng(7)
         t = sampling.random_contraction(rng, 3)
         cdf = semispectral_cdf(t, 4)
-        assert_allclose(cdf.value(0.0), np.zeros((3, 3)))
-        assert_allclose(cdf.value(2 * np.pi), np.eye(3), atol=1e-9)
+        assert_allclose(cumulative(cdf, 0.0), np.zeros((3, 3)))
+        assert_allclose(cumulative(cdf, 2 * np.pi), np.eye(3), atol=1e-9)
 
     def test_zero_contraction_midpoint(self):
         cdf = semispectral_cdf(np.zeros((1, 1)), 3)
         # two of the four jumps lie at or below pi
-        assert cdf.value(np.pi)[0, 0].real == pytest.approx(0.5)
-
-    def test_outside_domain(self):
-        cdf = semispectral_cdf(np.zeros((1, 1)), 2)
-        with pytest.raises(ValueError):
-            cdf.value(-0.1)
+        assert cumulative(cdf, np.pi)[0, 0].real == pytest.approx(0.5)
 
 
 class TestValidationAndSerialization:
@@ -132,8 +138,13 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             SemiSpectralCDF(dim=1, angles=np.array([2.0, 1.0]), blocks=blocks)
 
-    def test_rejects_non_psd_on_validate(self):
-        blocks = np.array([[[1.5]], [[-0.5]]], dtype=complex)
-        cdf = SemiSpectralCDF(dim=1, angles=np.array([1.0, 2.0]), blocks=blocks)
-        with pytest.raises(ValueError):
-            cdf.validate()
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("diag", [[-1.0], [-1.0, 1j], [1.0, -1.0]])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_unitary_with_eigenvalue_minus_one_warns_nothing(diag, n):
+    # singular kernel solves of these dilations send members to the dense
+    # route; the NaN they leave behind must not reach a division
+    t = np.diag(np.asarray(diag, dtype=complex))
+    cdf = semispectral_cdf(t, n)
+    assert moment_residual(cdf, t, n) <= 1e-12

@@ -148,19 +148,31 @@ def _pole_in_widest_gap(ang: np.ndarray) -> np.ndarray:
 
 
 def _unitary_eigh(u: np.ndarray):
-    """Eigenangles (k, m) and orthonormal eigenvectors of k dense unitaries.
+    """Eigenangles (k, m) and unit eigenvectors of k dense unitaries.
 
-    One complex Schur decomposition per member: the triangular factor of a
-    unitary is diagonal to rounding, so its diagonal holds the eigenvalues,
-    which are the Rayleigh quotients of the Schur vectors, and the Schur
-    vectors are orthonormal eigenvectors, clusters included.  The angles
-    are not yet wrapped.
+    One complex Schur decomposition U = Z S Z* per member; the angles are
+    the arguments of the diagonal of S and are not yet wrapped.  For a
+    unitary S is diagonal to rounding and the Schur vectors are orthonormal
+    eigenvectors, clusters included.  A dilation unitary only to within the
+    defect clamp leaves an off-diagonal part of S of that size, which turns
+    eigenvector j away from Schur vector j by S_ij / (S_jj - S_ii) along
+    Schur vector i at first order, more than the clamp itself across gaps
+    below one.  That turn is applied between eigenvalues more than
+    ``CLUSTER_TOL`` apart, so the vectors are the unit eigenvectors U v = q v
+    that the kernels of the structured route return, to second order; the
+    Schur vectors of one cluster are not turned towards each other.
     """
     ang = np.empty(u.shape[:2])
     vectors = np.empty(u.shape, dtype=np.complex128)
     for j, member in enumerate(u):
-        s, vectors[j] = scipy.linalg.schur(member, output="complex")
-        ang[j] = np.angle(np.diagonal(s))
+        s, z = scipy.linalg.schur(member, output="complex")
+        lam = np.diagonal(s)
+        gap = lam - lam[:, None]  # S_jj - S_ii at (i, j)
+        apart = np.abs(gap) > CLUSTER_TOL
+        turn = np.where(apart, np.triu(s, 1), 0.0) / np.where(apart, gap, 1.0)
+        v = z + z @ turn
+        vectors[j] = v / np.linalg.norm(v, axis=0)
+        ang[j] = np.angle(lam)
     return ang, vectors
 
 

@@ -5,7 +5,9 @@ The oracle is the complex Schur route: for a unitary the Schur basis is
 orthonormal and its columns are eigenvectors, so clustering its diagonal and
 compressing its columns gives the reference jump measure.  The dense solve
 (:func:`~specshift.semispectral._unitary_eigh`) is that same Schur
-decomposition, so two checks of it do not go through Schur: the moments of
+decomposition, its vectors turned into eigenvectors where the input is
+unitary only to within the defect clamp, so two checks of it do not go
+through Schur: the moments of
 :func:`~specshift.semispectral.spectral_cdf_unitary` against matrix powers,
 and the eigenvalues of d = 1 dilations against the roots of their
 characteristic polynomial.  The structured dilation route (Woodbury Cayley

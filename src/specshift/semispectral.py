@@ -18,7 +18,7 @@ from the kernel of a 2d x 2d pencil (:func:`_dilation_eig`), and the angle
 kept is the argument of its Rayleigh quotient v* U v, accurate to rounding
 however close the pole -e^{i theta} comes to the spectrum.  A member goes
 through a dense complex Schur decomposition of U instead
-(:func:`_unitary_eigh`) when two of its eigenangles lie closer than
+(:func:`_unitary_eig`) when two of its eigenangles lie closer than
 ``_GAP_MIN`` (a kernel then no longer fixes one eigenvector: clusters,
 T = 0, coincidences at unitary T), when no pole placement keeps the shift's
 circulant regular (``_CIRCULANT_MIN``), or when an eigen-residual exceeds
@@ -147,7 +147,7 @@ def _pole_in_widest_gap(ang: np.ndarray) -> np.ndarray:
     return a[rows, widest] + 0.5 * gaps[rows, widest] - np.pi
 
 
-def _unitary_eigh(u: np.ndarray):
+def _unitary_eig(u: np.ndarray):
     """Eigenangles (k, m) and unit eigenvectors of k dense unitaries.
 
     One complex Schur decomposition U = Z S Z* per member; the angles are
@@ -157,10 +157,12 @@ def _unitary_eigh(u: np.ndarray):
     defect clamp leaves an off-diagonal part of S of that size, which turns
     eigenvector j away from Schur vector j by S_ij / (S_jj - S_ii) along
     Schur vector i at first order, more than the clamp itself across gaps
-    below one.  That turn is applied between eigenvalues more than
-    ``CLUSTER_TOL`` apart, so the vectors are the unit eigenvectors U v = q v
-    that the kernels of the structured route return, to second order; the
-    Schur vectors of one cluster are not turned towards each other.
+    below one.  That turn is applied between eigenvalues at least
+    ``_GAP_MIN`` apart, where the structured route trusts its kernel
+    eigenvectors, so the vectors there are the unit eigenvectors U v = q v
+    it returns, to second order.  Closer eigenvalues keep their orthonormal
+    Schur vectors: the turn, even at rounding, grows as the gap shrinks and
+    would leave jumps that no longer sum to the identity.
     """
     ang = np.empty(u.shape[:2])
     vectors = np.empty(u.shape, dtype=np.complex128)
@@ -168,7 +170,7 @@ def _unitary_eigh(u: np.ndarray):
         s, z = scipy.linalg.schur(member, output="complex")
         lam = np.diagonal(s)
         gap = lam - lam[:, None]  # S_jj - S_ii at (i, j)
-        apart = np.abs(gap) > CLUSTER_TOL
+        apart = np.abs(gap) >= _GAP_MIN
         turn = np.where(apart, np.triu(s, 1), 0.0) / np.where(apart, gap, 1.0)
         v = z + z @ turn
         vectors[j] = v / np.linalg.norm(v, axis=0)
@@ -341,7 +343,7 @@ def _dilation_eigs(js: np.ndarray, n: int):
     pole on by the golden angle, which no finite rotation group shares.  The
     last of ``_ATTEMPTS`` placements is kept; a member whose residual still
     fails there, or whose eigenangles come closer than ``_GAP_MIN``, goes
-    through the dense :func:`_unitary_eigh` of its dilation unitary.
+    through the dense :func:`_unitary_eig` of its dilation unitary.
     """
     theta = np.full(len(js), _THETA0)
     todo = np.arange(len(js))
@@ -360,7 +362,7 @@ def _dilation_eigs(js: np.ndarray, n: int):
     ang = np.angle(quot)
     dense = ~(kept <= _RESIDUAL_FAIL) | (_circle_gaps(ang)[1].min(axis=1) < _GAP_MIN)
     if dense.any():
-        ang[dense], vec = _unitary_eigh(unitaries_from_julia(js[dense], n))
+        ang[dense], vec = _unitary_eig(unitaries_from_julia(js[dense], n))
         lead[dense] = vec[:, : lead.shape[1]]
     return ang, lead
 
@@ -403,7 +405,7 @@ def spectral_cdf_unitary(u) -> SemiSpectralCDF:
     u = as_operator(u)
     if not is_unitary(u):
         raise ValueError("input is not unitary within tolerance")
-    ang, vec = _unitary_eigh(u[None])
+    ang, vec = _unitary_eig(u[None])
     [(angles, blocks)] = _jump_lists(ang, vec, drop_tol=-1.0)
     return SemiSpectralCDF(dim=u.shape[0], angles=angles, blocks=blocks)
 

@@ -4,9 +4,10 @@ batched semi-spectral path.
 The oracle is the complex Schur route: for a unitary the Schur basis is
 orthonormal and its columns are eigenvectors, so clustering its diagonal and
 compressing its columns gives the reference jump measure.  The dense solve
-(:func:`~specshift.semispectral._unitary_eigh`) is that same Schur
+(:func:`~specshift.semispectral._unitary_eig`) is that same Schur
 decomposition, its vectors turned into eigenvectors where the input is
-unitary only to within the defect clamp, so two checks of it do not go
+unitary only to within the defect clamp and the eigenvalues lie at least
+``_GAP_MIN`` apart, so two checks of it do not go
 through Schur: the moments of
 :func:`~specshift.semispectral.spectral_cdf_unitary` against matrix powers,
 and the eigenvalues of d = 1 dilations against the roots of their
@@ -142,6 +143,14 @@ class TestUnitaryAgainstSchur:
         u = np.diag(np.asarray(diag, dtype=complex))
         assert_matches_oracle(spectral_cdf_unitary(u), u, u.shape[0])
 
+    @pytest.mark.parametrize("gap", [1e-8, 1e-7, 3e-7])
+    def test_close_distinct_eigenvalues_keep_unit_mass(self, gap):
+        # closer than _GAP_MIN, not one cluster: the dense solve keeps the
+        # orthonormal Schur vectors of the pair, so the jumps sum to I
+        cdf = spectral_cdf_unitary(unitary_with_angles(0, [0.1, 0.1 + gap, 2.0]))
+        assert cdf.angles.size == 3
+        assert_allclose(cdf.blocks.sum(axis=0), np.eye(3), rtol=0, atol=1e-12)
+
     def test_angles_near_zero_snap_to_two_pi(self):
         u = np.diag(np.exp(1j * np.array([0.4, -0.4, 0.2]) * CLUSTER_TOL))
         cdf = spectral_cdf_unitary(u)
@@ -198,7 +207,7 @@ class TestScalarDilationSpectrum:
     @given(**SCALAR)
     def test_eigenvalues_are_the_characteristic_roots(self, radius, phase, n):
         t = radius * np.exp(1j * phase)
-        angles, _ = semispectral._unitary_eigh(dilation_unitaries([[[t]]], n))
+        angles, _ = semispectral._unitary_eig(dilation_unitaries([[[t]]], n))
         assert_characteristic_roots(angles[0], t, n)
 
     @settings(max_examples=200, deadline=None)
@@ -210,7 +219,7 @@ class TestScalarDilationSpectrum:
 
 
 def dense_jumps(ts, n, drop_tol=-1.0):
-    ang, vec = semispectral._unitary_eigh(dilation_unitaries(ts, n))
+    ang, vec = semispectral._unitary_eig(dilation_unitaries(ts, n))
     return semispectral._jump_lists(ang, vec[:, : ts.shape[1]], drop_tol)
 
 
@@ -224,13 +233,13 @@ def assert_same_jumps(got, want, atol=1e-12):
 
 def spy_dense(monkeypatch):
     calls = []
-    original = semispectral._unitary_eigh
+    original = semispectral._unitary_eig
 
     def wrapped(u):
         calls.append(u.shape[0])
         return original(u)
 
-    monkeypatch.setattr(semispectral, "_unitary_eigh", wrapped)
+    monkeypatch.setattr(semispectral, "_unitary_eig", wrapped)
     return calls
 
 
@@ -263,7 +272,7 @@ class TestStructuredRoute:
     def test_agrees_with_the_dense_solve(self, seed, dim, n, kinds):
         rng = np.random.default_rng(seed)
         ts = np.stack([edge_contraction(rng, kind, dim) for kind in kinds])
-        ang, vec = semispectral._unitary_eigh(dilation_unitaries(ts, n))
+        ang, vec = semispectral._unitary_eig(dilation_unitaries(ts, n))
         want = semispectral._jump_lists(ang, vec[:, :dim], -1.0)
         # the dense eigenvectors of eigenvalues 1e-4 apart are good to about
         # 1e-12 only; eigenvalues closer than that are either one cluster
@@ -285,6 +294,19 @@ class TestStructuredRoute:
             # T = 0 dilates to the block shift: the roots of z^{N+1} = 1,
             # each d times, which no 2d x 2d kernel separates
             assert sum(calls) >= kinds.count("zero")
+
+    @pytest.mark.parametrize("eps", [1e-8, -1e-8])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_close_dilation_eigenvalues_keep_unit_mass(self, monkeypatch, n, eps):
+        # lam^{N+1} = -e^{i eps}: the dilation of this unitary T has two
+        # eigenvalues about eps apart, closer than _GAP_MIN but not one
+        # cluster, so the member takes the dense route
+        t = unitary_with_angles(1, [(np.pi + eps) / (n + 1), 0.7])
+        calls = spy_dense(monkeypatch)
+        cdf = semispectral_cdf(t, n)
+        assert calls == [1]
+        assert_allclose(cdf.blocks.sum(axis=0), np.eye(2), rtol=0, atol=1e-12)
+        assert moment_residual(cdf, t, n) <= 1e-12
 
     @pytest.mark.parametrize("offset", [0.0, 1e-8, -1e-8])
     @pytest.mark.parametrize("dim,n,k", [(2, 8, 0), (3, 12, 5), (4, 36, 20)])
@@ -369,9 +391,10 @@ class TestRetryPath:
         assert dense == []
 
     def test_singular_solve_is_retried(self, monkeypatch):
-        # the dilation of diag(-1, i) makes a bordered kernel system exactly
-        # singular: the stacked solve falls back to member by member, the
-        # member's vector comes back NaN, and nothing warns on the way
+        # the dilations of these unitaries with eigenvalue -1 make a bordered
+        # kernel system exactly singular: the stacked solve falls back to
+        # member by member, the member's vector comes back NaN, and nothing
+        # warns on the way
         singular = []
         original = semispectral._solve_member
 
@@ -381,13 +404,17 @@ class TestRetryPath:
 
         monkeypatch.setattr(semispectral, "_solve_member", wrapped)
         rng = np.random.default_rng(2)
-        ts = np.stack([sampling.random_contraction(rng, 2), np.diag([-1.0, 1j])])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cdfs = semispectral_cdfs(ts, 2)
-        assert singular
-        for t, cdf in zip(ts, cdfs):
-            assert_matches_oracle(cdf, n_dilation(t, 2).unitary, 2, semispectral._DROP_TOL)
+        for diag, n in [([-1.0], 2), ([-1.0, 1j], 2), ([1.0, -1.0], 3)]:
+            singular.clear()
+            t = np.diag(np.asarray(diag, dtype=complex))
+            ts = np.stack([sampling.random_contraction(rng, t.shape[0]), t])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                cdfs = semispectral_cdfs(ts, n)
+            assert singular
+            for t, cdf in zip(ts, cdfs):
+                u = n_dilation(t, n).unitary
+                assert_matches_oracle(cdf, u, t.shape[0], semispectral._DROP_TOL)
 
     def test_singular_member_comes_back_nan(self):
         a = np.stack([2.0 * np.eye(3), np.diag([1.0, 0.0, 1.0]), np.eye(3)])

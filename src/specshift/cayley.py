@@ -161,8 +161,6 @@ def _verify_polynomial(
 ) -> VerificationReport:
     if not phi.analytic:
         raise ValueError("the transform bridge applies to analytic polynomials")
-    if phi.max_index > grid // 8:
-        raise ValueError("polynomial degree too large for the configured grid")
     start = time.perf_counter()
     lhs = path.second_order_trace(phi)
     line = gamma_pipeline(

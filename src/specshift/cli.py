@@ -30,7 +30,7 @@ from .cayley import (
 )
 from .dilation import hs_difference_schaffer, n_dilation, schaffer_window
 from .opcore import TrigPolynomial, hs_norm, is_unitary, power_ladder
-from .paths import PerturbationPath
+from .paths import LINEAR, PerturbationPath
 from .report import VerificationReport, _num, write_csv, write_reports_json
 from .shift import (
     BOUND_SLACK,
@@ -352,7 +352,7 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[VerificationReport]]:
 def _check_step(cfg: CampaignConfig, path: PerturbationPath, step, max_deg: int) -> None:
     # the pointwise step function must carry the moment route's Fourier data:
     # contour moments c_m, m < max_deg (linear), modes d_r, 0 < |r| <= max_deg (mult)
-    if cfg.kind == "linear":
+    if path.kind == LINEAR:
         ref = eta_moments_linear(path, range(max_deg))
         got = {m: step.contour_moment(m) for m in ref}
         tol = cfg.tolerances.trace_formula
@@ -371,10 +371,10 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
     """Write pointwise shift samples for external plotting.
 
     Circle kinds produce rows (t, re_eta, im_eta) on a uniform closed grid of
-    ``grid`` rows including both endpoints, after checking the step function
-    against the moment route (:class:`PipelineError` on a mismatch, and no
-    file); transform kinds produce (lambda, re_xi, im_xi) on the half-angle
-    pullback of a midpoint grid.
+    ``grid`` rows including both endpoints; transform kinds produce
+    (lambda, re_xi, im_xi) on the half-angle pullback of a midpoint grid.
+    Every kind first checks its step function against the moment route of
+    its circle path (:class:`PipelineError` on a mismatch, and no file).
     """
     if cfg.kind not in ETA_KINDS:
         raise ValueError(f"eta emits samples for the kinds {ETA_KINDS}, not {cfg.kind!r}")
@@ -384,7 +384,6 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
     if cfg.kind in ("linear", "mult"):
         path = _sample_path(rng, cfg.kind, dim, cfg.zero_direction)
         step = shift_step_representation(path, max_power=max_deg)
-        _check_step(cfg, path, step, max_deg)
         t = np.linspace(0.0, 2.0 * np.pi, cfg.grid)
         vals = step(t)
         header = "t,re_eta,im_eta"
@@ -395,17 +394,20 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
         x = sample(rng, dim)
         x0 = x if cfg.zero_direction else sample(rng, dim)
         pair = (SelfAdjointPair if sa else DissipativePair)(x, x0)
+        path = pair.circle_path()
         line = gamma_pipeline(
-            pair.circle_path(),
+            path,
             grid=cfg.grid,
             max_power=max_deg,
             require_unitary_endpoints=sa,
         )
+        step = line.step
         t = (np.arange(cfg.grid) + 0.5) * (2.0 * np.pi / cfg.grid)
         lam = np.tan(0.5 * t)
         vals = 0.5 * line.eta_tilde(t)
         header = "lambda,re_xi,im_xi"
         cols = (lam, vals.real, vals.imag)
+    _check_step(cfg, path, step, max_deg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path_file = out / "shift_samples.csv"

@@ -10,22 +10,26 @@ bearing: it makes the boundary terms of every integration by parts drop out.
 A dilation unitary of size m = (N+1)d is never formed: it is a rank-2d
 change of the block cyclic shift by the 2d x 2d Julia operator of T, on
 which its unitarity is checked (:func:`~specshift.dilation.julia_operators`).
-Its spectrum comes from the rotated Cayley map H = i(I - w)(I + w)^{-1},
-w = e^{-i theta} U: H is Hermitian, built by Woodbury's identity in
-O(m^2 d), and its eigenvalues lam locate the eigenangles at
-theta + 2 arctan(lam).  Only these are computed; each eigenvector comes
-from the kernel of a 2d x 2d pencil (:func:`_dilation_eig`), and the angle
-kept is the argument of its Rayleigh quotient v* U v, accurate to rounding
-however close the pole -e^{i theta} comes to the spectrum.  A member goes
-through a dense complex Schur decomposition of U instead
-(:func:`_unitary_eig`) when two of its eigenangles lie closer than
-``_GAP_MIN`` (a kernel then no longer fixes one eigenvector: clusters,
-T = 0, coincidences at unitary T), when no pole placement keeps the shift's
-circulant regular (``_CIRCULANT_MIN``), or when an eigen-residual exceeds
-``_RESIDUAL_FAIL``.  A general unitary (:func:`spectral_cdf_unitary`) has
-no dilation structure and always takes the Schur route.  A stack of
-members (all the dilations of one path) is solved together, in chunks of
-at most ``_CHUNK_ENTRIES`` entries per stacked array.
+Each member is solved once, at the one rotation theta = ``_THETA0``, by the
+rotated Cayley map H = i(I - w)(I + w)^{-1}, w = e^{-i theta} U: H is
+Hermitian, built by Woodbury's identity in O(m^2 d), and its eigenvalues
+lam locate the eigenangles at theta + 2 arctan(lam).  Only these are
+computed; each eigenvector comes from the kernel of a 2d x 2d pencil
+(:func:`_dilation_eigs`), and the angle kept is the argument of its
+Rayleigh quotient v* U v.  The members that pass cannot vouch for go
+together through a dense complex Schur decomposition of U
+(:func:`_unitary_eig`): a singular circulant or capacitance matrix, a
+largest |lam| beyond ``_LAMBDA_MAX`` (the pole -e^{i theta} sits next to an
+eigenvalue), an eigen-residual beyond ``_RESIDUAL_FAIL``, or two eigenangles
+closer than ``_GAP_MIN`` (a kernel then no longer fixes one eigenvector:
+clusters, T = 0, coincidences at unitary T).  The circulant is singular
+where the pole lies on the block shift's spectrum,
+|1 - (-e^{-i theta})^{N+1}| <= ``_CIRCULANT_MIN``; at ``_THETA0`` the first
+such degree is N = 332 (0.0044), where every member goes dense.  A general
+unitary (:func:`spectral_cdf_unitary`) has no dilation structure and always
+takes the Schur route.  A stack of members (all the dilations of one path)
+is solved together, in chunks of at most ``_CHUNK_ENTRIES`` entries per
+stacked array.
 """
 
 from __future__ import annotations
@@ -52,11 +56,10 @@ MASS_TOL = 1e-9           # | sum of jumps - I |
 MOMENT_FAIL = 1e-7        # internal-consistency threshold for dilated CDFs
 _DROP_TOL = 1e-12         # compressed blocks below this norm carry no mass
 
-_THETA0 = 0.5             # first rotation: its pole -e^{i theta} is off +-1 and +-i
-_LAMBDA_MAX = 1e3         # a larger |lam| means the pole sat next to an eigenvalue
+_THETA0 = 0.5             # the rotation: its pole -e^{i theta} is off +-1 and +-i
+_LAMBDA_MAX = 1e6         # a larger |lam| means the pole sat next to an eigenvalue: dense solve
 _RESIDUAL_FAIL = 1e-8     # |U v - (v* U v) v| beyond this: the solve broke down
-_ATTEMPTS = 4             # pole placements per member before giving up
-_GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))  # pole step after a broken solve
+_GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))  # phase step of the kernels' border vector
 _CHUNK_ENTRIES = 1 << 16  # most matrix entries one stacked array may hold
 _GAP_MIN = 1e-6           # closer eigenangles blur kernel eigenvectors (eps/gap): dense solve
 _CIRCULANT_MIN = 1e-2     # smaller |1 - (-c)^(N+1)|: the pole sits on the shift's spectrum
@@ -139,14 +142,6 @@ def _nearest_gaps(ang: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pole_in_widest_gap(ang: np.ndarray) -> np.ndarray:
-    # the rotation whose pole -e^{i theta} sits mid-way across each row's widest gap
-    a, gaps = _circle_gaps(ang)
-    rows = np.arange(a.shape[0])
-    widest = gaps.argmax(axis=1)
-    return a[rows, widest] + 0.5 * gaps[rows, widest] - np.pi
-
-
 def _unitary_eig(u: np.ndarray):
     """Eigenangles (k, m) and unit eigenvectors of k dense unitaries.
 
@@ -178,7 +173,7 @@ def _unitary_eig(u: np.ndarray):
     return ang, vectors
 
 
-def _dilation_cayley(js: np.ndarray, n: int, theta: np.ndarray) -> np.ndarray:
+def _dilation_cayley(js: np.ndarray, n: int, theta: float) -> np.ndarray:
     """Rotated Cayley matrices of the degree-N dilations of Julia operators.
 
     U = P V with P the block cyclic shift and V the Julia operator with its
@@ -189,23 +184,22 @@ def _dilation_cayley(js: np.ndarray, n: int, theta: np.ndarray) -> np.ndarray:
     parts of i(2(I + cU)^{-1} - I): a skew part, left by rounding or by a
     dilation unitary only to within the defect clamp, would move the
     eigenvalues at first order, while the Hermitian part moves them only at
-    second.  A member whose circulant or 2d x 2d capacitance matrix is
-    singular comes back as NaN.
+    second.  A member whose 2d x 2d capacitance matrix is singular comes
+    back as NaN, and every member does when the circulant is.
     """
     k, d2, _ = js.shape
     d, nb = d2 // 2, n + 1
     c = np.exp(-1j * theta)
     den = 1.0 - (-c) ** nb
-    singular = ~(np.abs(den) > _CIRCULANT_MIN)
-    den[singular] = 1.0
-    a = (-c[:, None]) ** np.arange(nb) / den[:, None]
+    if not abs(den) > _CIRCULANT_MIN:  # the pole sits on the shift's spectrum
+        return np.full((k, nb * d, nb * d), np.nan, dtype=np.complex128)
     idx = np.arange(nb)
-    circ = a[:, (idx[:, None] - idx) % nb]  # scalar blocks of (I + cP)^{-1}
-    f = c[:, None, None] * circ[:, :, [1, 0]]  # of (I + cP)^{-1} cPE
+    circ = ((-c) ** idx / den)[(idx[:, None] - idx) % nb]  # scalar blocks of (I + cP)^{-1}
+    f = c * circ[:, [1, 0]]  # of (I + cP)^{-1} cPE
     eye = np.eye(d)
     # E*(I + cP)^{-1} and E*(I + cP)^{-1}cPE: blocks 0 and N of the above, times I_d
-    rho = (circ[:, [0, n], None, :, None] * eye[:, None, :]).reshape(k, d2, nb * d)
-    phi = (f[:, [0, n], None, :, None] * eye[:, None, :]).reshape(k, d2, d2)
+    rho = (circ[[0, n], None, :, None] * eye[:, None, :]).reshape(d2, nb * d)
+    phi = (f[[0, n], None, :, None] * eye[:, None, :]).reshape(d2, d2)
     g = np.roll(js, d, axis=1) - np.eye(d2)  # G - I
     core = _solve_or_nan(np.eye(d2) + g @ phi, g)
     w = (f @ core.reshape(k, 2, d * d2)).reshape(k, nb * d, d2)  # (I + cP)^{-1}cPE core
@@ -217,7 +211,6 @@ def _dilation_cayley(js: np.ndarray, n: int, theta: np.ndarray) -> np.ndarray:
         blocks[:, :, r, :, r] += diagonal
     h += np.swapaxes(h.conj(), 1, 2)
     h *= 0.5
-    h[singular] = np.nan
     return h
 
 
@@ -287,30 +280,35 @@ def _kernels(bordered: np.ndarray, js: np.ndarray, n: int, owner: np.ndarray, z:
     return [np.concatenate(p) for p in zip(*parts)]
 
 
-def _dilation_eig(js: np.ndarray, n: int, theta: np.ndarray):
-    """Eigen-data of the degree-N dilations of Julia operators, U never formed.
+def _dilation_eigs(js: np.ndarray, n: int):
+    """Eigenangles (k, m) and leading eigenvector rows (k, d, m) of k dilations.
 
-    Returns the Rayleigh quotients v* U v, the leading d rows (k, d, m) of
-    the unit eigenvectors, the computed angles theta + 2 arctan(lam), and
-    per member the largest |lam| and the largest eigen-residual
-    |U v - (v* U v) v|; a singular member reports both as infinite.  The
-    kernel vector of each eigenvalue z = e^{i(theta + 2 arctan lam)} comes
-    from K(z) = [[z - T, -D_T*], [D_T, -(z^N + T*)]] bordered by a fixed
-    vector b, [[K, b], [b*, 0]] (x, mu) = (0, 1): x is parallel to
-    K^{-1} b, and the bordered matrix stays regular where K(z) is singular
-    to working precision.  Where the error bound residual / gap of the eigenvector
-    exceeds ``_VECTOR_TOL``, a second solve at the Rayleigh quotient (one
-    step of Rayleigh quotient iteration) removes the error of the
-    eigenvalue solve from the vector.
+    One structured pass at the rotation ``_THETA0`` solves every member,
+    its dilation unitary U never formed: the eigenvalues lam of the Cayley
+    matrix locate the eigenvalues z = e^{i(theta + 2 arctan lam)} of U, and
+    the kernel vector of each comes from K(z) = [[z - T, -D_T*], [D_T,
+    -(z^N + T*)]] bordered by a fixed vector b, [[K, b], [b*, 0]] (x, mu) =
+    (0, 1): x is parallel to K^{-1} b, and the bordered matrix stays regular
+    where K(z) is singular to working precision.  Where the error bound
+    residual / gap of the eigenvector exceeds ``_VECTOR_TOL``, a second
+    solve at the Rayleigh quotient (one step of Rayleigh quotient
+    iteration) removes the error of the eigenvalue solve from the vector.
+    The angle kept is that of the Rayleigh quotient v* U v.
+
+    The members this pass cannot vouch for go through one dense
+    :func:`_unitary_eig` of their dilation unitaries: a singular circulant
+    or capacitance matrix, a largest |lam| beyond ``_LAMBDA_MAX`` (the pole
+    sits next to an eigenvalue), an eigen-residual |U v - (v* U v) v|
+    beyond ``_RESIDUAL_FAIL`` (the solve broke down), or two eigenangles
+    closer than ``_GAP_MIN`` (a kernel no longer fixes one eigenvector).
     """
     k, d2, _ = js.shape
-    h = _dilation_cayley(js, n, theta)
+    h = _dilation_cayley(js, n, _THETA0)
     singular = ~np.isfinite(h).all(axis=(1, 2))
     h[singular] = 0.0
     lam = np.linalg.eigvalsh(h)
     del h
     m = lam.shape[1]
-    ang = theta[:, None] + 2.0 * np.arctan(lam)
     diag = np.arange(d2)
     border = np.exp(1j * _GOLDEN_ANGLE * (diag + 1.0) ** 2)  # no structure to be orthogonal to
     bordered = np.zeros((k, d2 + 1, d2 + 1), dtype=np.complex128)
@@ -319,48 +317,22 @@ def _dilation_eig(js: np.ndarray, n: int, theta: np.ndarray):
     bordered[:, :d2, d2] = border
     bordered[:, d2, :d2] = border.conj()
     owner = np.repeat(np.arange(k), m)
-    quot, u, residual = _kernels(bordered, js, n, owner, np.exp(1j * ang).ravel())
+    z = np.exp(1j * (_THETA0 + 2.0 * np.arctan(lam))).ravel()
+    quot, u, residual = _kernels(bordered, js, n, owner, z)
     # a unit eigenvector is off by at most residual / (gap to its neighbours)
     again = residual > _VECTOR_TOL * _nearest_gaps(np.angle(quot).reshape(k, m)).ravel()
     if again.any():
         quot[again], u[again], residual[again] = _kernels(
             bordered, js, n, owner[again], quot[again]
         )
-    residual = residual.reshape(k, m).max(axis=1, initial=0.0)
-    big = np.abs(lam).max(axis=1, initial=0.0)
-    big[singular] = residual[singular] = np.inf
-    return quot.reshape(k, m), np.swapaxes(u.reshape(k, m, -1), 1, 2), ang, big, residual
-
-
-def _dilation_eigs(js: np.ndarray, n: int):
-    """Eigenangles (k, m) and leading eigenvector rows (k, d, m) of k dilations.
-
-    Every member starts at the rotation ``_THETA0``.  A member whose largest
-    |lam| exceeds ``_LAMBDA_MAX`` is solved again with its pole moved to the
-    middle of the widest gap of its computed angles.  A member whose solve
-    is singular, or so close to singular that its eigen-residual exceeds
-    ``_RESIDUAL_FAIL`` (its computed angles are then meaningless), moves its
-    pole on by the golden angle, which no finite rotation group shares.  The
-    last of ``_ATTEMPTS`` placements is kept; a member whose residual still
-    fails there, or whose eigenangles come closer than ``_GAP_MIN``, goes
-    through the dense :func:`_unitary_eig` of its dilation unitary.
-    """
-    theta = np.full(len(js), _THETA0)
-    todo = np.arange(len(js))
-    quot, lead, ang, big, residual = _dilation_eig(js, n, theta)
-    kept = residual.copy()
-    for _ in range(_ATTEMPTS - 1):
-        broken = ~(residual <= _RESIDUAL_FAIL)
-        retry = broken | (big > _LAMBDA_MAX)
-        if not retry.any():
-            break
-        todo = todo[retry]
-        pole = _pole_in_widest_gap(ang[retry])
-        theta[todo] = np.where(broken[retry], theta[todo] + _GOLDEN_ANGLE, pole)
-        q, u, ang, big, residual = _dilation_eig(js[todo], n, theta[todo])
-        quot[todo], lead[todo], kept[todo] = q, u, residual
-    ang = np.angle(quot)
-    dense = ~(kept <= _RESIDUAL_FAIL) | (_circle_gaps(ang)[1].min(axis=1) < _GAP_MIN)
+    ang = np.angle(quot).reshape(k, m)
+    lead = np.swapaxes(u.reshape(k, m, -1), 1, 2)
+    dense = (
+        singular
+        | (np.abs(lam).max(axis=1) > _LAMBDA_MAX)
+        | ~(residual.reshape(k, m).max(axis=1) <= _RESIDUAL_FAIL)
+        | (_circle_gaps(ang)[1].min(axis=1) < _GAP_MIN)
+    )
     if dense.any():
         ang[dense], vec = _unitary_eig(unitaries_from_julia(js[dense], n))
         lead[dense] = vec[:, : lead.shape[1]]

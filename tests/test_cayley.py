@@ -214,13 +214,14 @@ class TestSelfAdjointFormula:
         tight_line = verify(pair, phi, grid=512, realline_tol=1e-30)
         assert not tight_line.passed and tight_line.extras["realline_tol"] == 1e-30
 
-    def test_degree_cap(self):
+    def test_degree_beyond_an_eighth_of_the_grid(self):
+        # both pairings are exact sums over the jumps: the grid bounds no degree
         rng = np.random.default_rng(11)
         pair = SelfAdjointPair(
             sampling.random_hermitian(rng, 2), sampling.random_hermitian(rng, 2)
         )
-        with pytest.raises(ValueError):
-            verify_selfadjoint_formula(pair, TrigPolynomial({100: 1.0}), grid=512)
+        report = verify_selfadjoint_formula(pair, TrigPolynomial({40: 1.0}), grid=256)
+        assert report.passed and report.degree == 40
 
 
 class TestResolventFormula:

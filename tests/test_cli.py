@@ -123,6 +123,12 @@ class TestExitCodes:
                      "--seed", "4", "--out", str(tmp_path / "o")])
         assert code == 0
 
+    @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
+    def test_transform_degree_beyond_an_eighth_of_the_grid_exits_zero(self, kind, tmp_path):
+        code = main(["verify", "--kind", kind, "--degrees", "33", "--grid", "256",
+                     "--trials", "1", "--out", str(tmp_path / "o")])
+        assert code == 0
+
     def test_failing_campaign_exits_one(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({
@@ -260,6 +266,20 @@ class TestEmission:
         monkeypatch.setattr(cli, "shift_step_representation", corrupted)
         out = tmp_path / "o"
         assert main(["eta", "--kind", kind, "--seed", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("check failed:") and err.count("\n") == 1
+        assert not (out / "shift_samples.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
+    def test_transform_step_mismatch_exits_one_without_samples(self, kind, tmp_path, capsys):
+        # the transform kinds check the line's step function against the
+        # linear moment route of their circle path before writing
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"tolerances": {"trace_formula": 1e-30}}))
+        out = tmp_path / "o"
+        code = main(["eta", "--kind", kind, "--seed", "1", "--config", str(cfg_file),
+                     "--out", str(out)])
+        assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("check failed:") and err.count("\n") == 1
         assert not (out / "shift_samples.csv").exists()

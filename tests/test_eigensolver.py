@@ -3,18 +3,20 @@ batched semi-spectral path.
 
 The oracle is the complex Schur route: for a unitary the Schur basis is
 orthonormal and its columns are eigenvectors, so clustering its diagonal and
-compressing its columns gives the reference jump measure.  The dense solve
-(:func:`~specshift.semispectral._unitary_eig`) is that same Schur
-decomposition, its vectors turned into eigenvectors where the input is
+compressing its columns gives the reference jump measure.  Where a dilation
+is unitary only to within the defect clamp, the solvers return the unit
+eigenvectors U v = q v, and the oracle takes them from ``np.linalg.eig``.
+The dense solve (:func:`~specshift.semispectral._unitary_eig`) is that same
+Schur decomposition, its vectors turned into eigenvectors where the input is
 unitary only to within the defect clamp and the eigenvalues lie at least
-``_GAP_MIN`` apart, so two checks of it do not go
-through Schur: the moments of
-:func:`~specshift.semispectral.spectral_cdf_unitary` against matrix powers,
-and the eigenvalues of d = 1 dilations against the roots of their
+``_GAP_MIN`` apart, so two checks of it do not go through Schur: the moments
+of :func:`~specshift.semispectral.spectral_cdf_unitary` against matrix
+powers, and the eigenvalues of d = 1 dilations against the roots of their
 characteristic polynomial.  The structured dilation route (Woodbury Cayley
-matrix, eigenvalues only, eigenvectors from 2d x 2d kernels, pole retries)
-is checked against the dense solve of the dilation unitary, which it falls
-back to.
+matrix at one rotation, eigenvalues only, eigenvectors from 2d x 2d
+kernels) solves each chunk of members once and hands the members it cannot
+vouch for to one dense solve; it is checked against the dense solve of the
+dilation unitary, also with the pole placed next to an eigenvalue.
 """
 
 import warnings
@@ -41,9 +43,14 @@ TWO_PI = 2.0 * np.pi
 POLE = np.pi + semispectral._THETA0  # angle of the first rotation's pole
 
 
-def schur_jumps(u, compress_dim, drop_tol=-1.0, cluster_tol=CLUSTER_TOL):
+def schur_basis(u):
     s, z = scipy.linalg.schur(u, output="complex")
-    ang = np.angle(np.diagonal(s))
+    return np.diagonal(s), z
+
+
+def oracle_jumps(u, compress_dim, drop_tol=-1.0, cluster_tol=CLUSTER_TOL, basis=schur_basis):
+    lam, z = basis(u)
+    ang = np.angle(lam)
     ang = np.where(ang <= 0.0, ang + TWO_PI, ang)
     ang = np.where((TWO_PI - ang < cluster_tol) | (ang < cluster_tol), TWO_PI, ang)
     order = np.argsort(ang, kind="stable")
@@ -61,8 +68,8 @@ def schur_jumps(u, compress_dim, drop_tol=-1.0, cluster_tol=CLUSTER_TOL):
     return np.array(angles), np.array(blocks)
 
 
-def assert_matches_oracle(cdf, u, compress_dim, drop_tol=-1.0):
-    angles, blocks = schur_jumps(u, compress_dim, drop_tol)
+def assert_matches_oracle(cdf, u, compress_dim, drop_tol=-1.0, basis=schur_basis):
+    angles, blocks = oracle_jumps(u, compress_dim, drop_tol, basis=basis)
     assert cdf.angles.shape == angles.shape
     assert_allclose(cdf.angles, angles, rtol=0, atol=1e-10)
     assert_allclose(cdf.blocks, blocks, rtol=0, atol=1e-10)
@@ -178,8 +185,10 @@ class TestContractionEdge:
         herm = cdf.blocks.conj().transpose(0, 2, 1)  # every jump Hermitian and PSD
         assert_allclose(cdf.blocks, herm, rtol=0, atol=1e-9)
         assert np.linalg.eigvalsh(0.5 * (cdf.blocks + herm)).min() >= -1e-10
+        # inside the clamp the Schur vectors are off the eigenvectors U v = q v
+        # that both routes return by the Gram residual over the gap
         u = n_dilation(t, n).unitary
-        assert_matches_oracle(cdf, u, dim, drop_tol=1e-12)
+        assert_matches_oracle(cdf, u, dim, drop_tol=1e-12, basis=np.linalg.eig)
         assert moment_residual(cdf, t, n) <= 1e-9
 
 
@@ -232,6 +241,7 @@ def assert_same_jumps(got, want, atol=1e-12):
 
 
 def spy_dense(monkeypatch):
+    # the number of members of every dense solve
     calls = []
     original = semispectral._unitary_eig
 
@@ -240,6 +250,19 @@ def spy_dense(monkeypatch):
         return original(u)
 
     monkeypatch.setattr(semispectral, "_unitary_eig", wrapped)
+    return calls
+
+
+def spy_structured(monkeypatch):
+    # the Julia operators and the rotation of every structured solve
+    calls = []
+    original = semispectral._dilation_cayley
+
+    def wrapped(js, n, theta):
+        calls.append((js.copy(), theta))
+        return original(js, n, theta)
+
+    monkeypatch.setattr(semispectral, "_dilation_cayley", wrapped)
     return calls
 
 
@@ -313,26 +336,44 @@ class TestStructuredRoute:
     def test_first_pole_on_the_shift_spectrum(self, monkeypatch, dim, n, k, offset):
         # at theta = pi - 2 pi k/(N+1) the pole -e^{i theta} is an eigenvalue
         # of the block shift: (-e^{-i theta})^{N+1} = 1 and the circulant
-        # (I + e^{-i theta} P)^{-1} does not exist
+        # (I + e^{-i theta} P)^{-1} does not exist, so every member of each
+        # chunk goes dense, in one call per chunk
         theta = np.pi - TWO_PI * k / (n + 1) + offset
         monkeypatch.setattr(semispectral, "_THETA0", theta)
-        tried = []
-        original = semispectral._dilation_eig
-
-        def wrapped(js, n, theta):
-            tried.append(theta.copy())
-            return original(js, n, theta)
-
-        monkeypatch.setattr(semispectral, "_dilation_eig", wrapped)
+        tried = spy_structured(monkeypatch)
+        dense = spy_dense(monkeypatch)
         rng = np.random.default_rng(dim * 100 + n)
         ts = np.stack([sampling.random_contraction(rng, dim) for _ in range(4)])
         cdfs = semispectral_cdfs(ts, n)  # MOMENT_FAIL would raise here
-        first = [c.size for c in tried if np.all(c == theta)]
-        assert sum(first) == 4 and sum(c.size for c in tried) >= 8  # every member moved
+        assert all(t == theta for _, t in tried)
+        assert dense == [js.shape[0] for js, _ in tried] and sum(dense) == 4
         want = dense_jumps(ts, n, semispectral._DROP_TOL)
         assert_same_jumps([(cdf.angles, cdf.blocks) for cdf in cdfs], want)
         for t, cdf in zip(ts, cdfs):
             assert moment_residual(cdf, t, n) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEED,
+        dim=st.integers(1, 6),
+        n=st.integers(1, 36),
+        kind=st.sampled_from(["generic", "unitary", "0.0"]),
+        delta=st.sampled_from([1e-7, 1e-6, 1e-5, 1e-4, 1e-3, -1e-7, -1e-5, -1e-3]),
+        pick=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_pole_next_to_an_eigenvalue(self, seed, dim, n, kind, delta, pick):
+        # the pole delta from one eigenangle: |lam| near 2/|delta| takes the
+        # member to the dense route beyond _LAMBDA_MAX and leaves it to the
+        # structured one below; the jumps are the same either way
+        ts = edge_contraction(np.random.default_rng(seed), kind, dim)[None]
+        ang, _ = semispectral._unitary_eig(dilation_unitaries(ts, n))
+        assume(semispectral._circle_gaps(ang)[1].min() >= 1e-4)
+        theta = ang[0, int(pick * ang.shape[1])] + delta - np.pi
+        assume(abs(1.0 - (-np.exp(-1j * theta)) ** (n + 1)) > semispectral._CIRCULANT_MIN)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(semispectral, "_THETA0", theta)
+            ang, lead = semispectral._dilation_eigs(julia_operators(ts), n)
+        assert_same_jumps(semispectral._jump_lists(ang, lead, -1.0), dense_jumps(ts, n), 1e-10)
 
     def test_resolvent_paths_take_no_dense_solve(self, monkeypatch):
         # the 33-point stacks of the resolvent pipeline at dims 2/4/6, N = 36
@@ -347,17 +388,9 @@ class TestStructuredRoute:
 
 
 class TestRetryPath:
-    def spy(self, monkeypatch):
-        # the Julia operators and rotations of every structured solve
-        tried = []
-        original = semispectral._dilation_eig
-
-        def wrapped(js, n, theta):
-            tried.append((js.copy(), theta.copy()))
-            return original(js, n, theta)
-
-        monkeypatch.setattr(semispectral, "_dilation_eig", wrapped)
-        return tried
+    """A member that the one structured solve cannot vouch for is solved
+    again by the dense route, together with every other such member of its
+    chunk; no member is solved twice by the structured route."""
 
     def pole_stack(self, offset, good=1):
         # a unitary T keeps its eigenvalues in its dilation: one of them sits
@@ -368,33 +401,59 @@ class TestRetryPath:
         ts = [sampling.random_contraction(rng, 3) for _ in range(2 * good)]
         return np.stack(ts[:good] + [bad] + ts[good:])
 
-    @pytest.mark.parametrize("offset", [0.0, 1e-5, -1e-5])
+    def assert_one_structured_solve(self, tried, ts):
+        [(js, theta)] = tried
+        assert theta == semispectral._THETA0 and np.array_equal(js, julia_operators(ts))
+
+    def assert_matches_dilation_oracle(self, ts, cdfs, n):
+        for t, cdf in zip(ts, cdfs):
+            u = n_dilation(t, n).unitary
+            assert_matches_oracle(cdf, u, t.shape[0], semispectral._DROP_TOL)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
     def test_eigenvalue_on_first_pole_is_retried(self, monkeypatch, offset):
+        # |lam| beyond _LAMBDA_MAX (or a singular Cayley matrix): dense, alone
         dense = spy_dense(monkeypatch)
-        tried = self.spy(monkeypatch)
+        tried = spy_structured(monkeypatch)
         ts = self.pole_stack(offset)
         cdfs = semispectral_cdfs(ts, 4)
-        (_, first), (_, again) = tried
-        assert first.size == 3 and np.all(first == semispectral._THETA0)
-        assert again.size == 1 and again[0] != semispectral._THETA0
+        self.assert_one_structured_solve(tried, ts)
+        assert dense == [1]
+        self.assert_matches_dilation_oracle(ts, cdfs, 4)
+
+    @pytest.mark.parametrize("offset", [1e-5, -1e-5])
+    def test_eigenvalue_near_first_pole_is_solved_once(self, monkeypatch, offset):
+        # |lam| about 2e5, below _LAMBDA_MAX: the structured solve vouches for it
+        dense = spy_dense(monkeypatch)
+        tried = spy_structured(monkeypatch)
+        ts = self.pole_stack(offset)
+        cdfs = semispectral_cdfs(ts, 4)
+        self.assert_one_structured_solve(tried, ts)
         assert dense == []
-        for t, cdf in zip(ts, cdfs):
-            assert_matches_oracle(cdf, n_dilation(t, 4).unitary, 3, semispectral._DROP_TOL)
+        self.assert_matches_dilation_oracle(ts, cdfs, 4)
 
     def test_only_the_bad_member_is_retried(self, monkeypatch):
-        dense = spy_dense(monkeypatch)
-        tried = self.spy(monkeypatch)
+        dense = []
+        original = semispectral._unitary_eig
+
+        def wrapped(u):
+            dense.append(u.copy())
+            return original(u)
+
+        monkeypatch.setattr(semispectral, "_unitary_eig", wrapped)
+        tried = spy_structured(monkeypatch)
         ts = self.pole_stack(0.0, good=2)
         semispectral_cdfs(ts, 4)
-        assert [theta.size for _, theta in tried] == [5, 1]
-        assert np.array_equal(tried[1][0], julia_operators(ts)[2:3])
-        assert dense == []
+        self.assert_one_structured_solve(tried, ts)
+        [u] = dense
+        assert np.array_equal(u, dilation_unitaries(ts[2:3], 4))
 
     def test_singular_solve_is_retried(self, monkeypatch):
-        # the dilations of these unitaries with eigenvalue -1 make a bordered
-        # kernel system exactly singular: the stacked solve falls back to
-        # member by member, the member's vector comes back NaN, and nothing
-        # warns on the way
+        # the dilations of these unitaries with eigenvalue -1 have a repeated
+        # eigenvalue and make a bordered kernel system exactly singular: the
+        # stacked solve falls back to member by member, the member's vector
+        # comes back NaN, nothing warns on the way, and the member goes
+        # dense after its one structured solve, since no rotation can help
         singular = []
         original = semispectral._solve_member
 
@@ -403,18 +462,22 @@ class TestRetryPath:
             return original(a, b)
 
         monkeypatch.setattr(semispectral, "_solve_member", wrapped)
+        dense = spy_dense(monkeypatch)
+        tried = spy_structured(monkeypatch)
         rng = np.random.default_rng(2)
         for diag, n in [([-1.0], 2), ([-1.0, 1j], 2), ([1.0, -1.0], 3)]:
             singular.clear()
+            dense.clear()
+            tried.clear()
             t = np.diag(np.asarray(diag, dtype=complex))
             ts = np.stack([sampling.random_contraction(rng, t.shape[0]), t])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 cdfs = semispectral_cdfs(ts, n)
             assert singular
-            for t, cdf in zip(ts, cdfs):
-                u = n_dilation(t, n).unitary
-                assert_matches_oracle(cdf, u, t.shape[0], semispectral._DROP_TOL)
+            self.assert_one_structured_solve(tried, ts)
+            assert dense == [1]
+            self.assert_matches_dilation_oracle(ts, cdfs, n)
 
     def test_singular_member_comes_back_nan(self):
         a = np.stack([2.0 * np.eye(3), np.diag([1.0, 0.0, 1.0]), np.eye(3)])

@@ -25,11 +25,11 @@ closer than ``_GAP_MIN`` (a kernel then no longer fixes one eigenvector:
 clusters, T = 0, coincidences at unitary T).  The circulant is singular
 where the pole lies on the block shift's spectrum,
 |1 - (-e^{-i theta})^{N+1}| <= ``_CIRCULANT_MIN``; at ``_THETA0`` the first
-such degree is N = 332 (0.0044), where every member goes dense.  A general
-unitary (:func:`spectral_cdf_unitary`) has no dilation structure and always
-takes the Schur route.  A stack of members (all the dilations of one path)
-is solved together, in chunks of at most ``_CHUNK_ENTRIES`` entries per
-stacked array.
+such degree is N = 332 (0.0044), where every member goes dense and no
+structured pass runs.  A general unitary (:func:`spectral_cdf_unitary`) has
+no dilation structure and always takes the Schur route.  A stack of members
+(all the dilations of one path) is solved together, in chunks of at most
+``_CHUNK_ENTRIES`` entries per stacked array.
 """
 
 from __future__ import annotations
@@ -305,6 +305,9 @@ def _dilation_eigs(js: np.ndarray, n: int):
     k, d2, _ = js.shape
     h = _dilation_cayley(js, n, _THETA0)
     singular = ~np.isfinite(h).all(axis=(1, 2))
+    if singular.all():  # a singular circulant: no structured pass, every member dense
+        ang, vec = _unitary_eig(unitaries_from_julia(js, n))
+        return ang, vec[:, : d2 // 2]
     h[singular] = 0.0
     lam = np.linalg.eigvalsh(h)
     del h

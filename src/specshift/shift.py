@@ -25,9 +25,9 @@ analytic but not polynomial in s).  The constant mode is fixed to zero by
 convention.
 
 The numbers that carry the reduction to finite dimensions are module
-constants, not arguments: ``S_NODES`` Gauss-Legendre nodes for the pointwise
-s-average, the dilation degree margin ``DEGREE_MARGIN``, and ``QUAD_TOL`` and
-``QUAD_MAX_DEPTH`` for the adaptive rule.
+constants, not arguments: the dilation degree margin ``DEGREE_MARGIN``,
+``S_NODES`` Gauss-Legendre nodes for the pointwise s-average on multiplicative
+paths, and ``QUAD_TOL`` and ``QUAD_MAX_DEPTH`` for the adaptive rule.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ BOUND_SLACK = 1e-6
 # and of campaigns.
 DEFAULT_GRID = 4096
 
-S_NODES = 32              # Gauss-Legendre nodes of the pointwise s-average
+S_NODES = 32              # Gauss-Legendre nodes of the multiplicative pointwise s-average
 DEGREE_MARGIN = 2         # dilation degree above the highest integrated power
 QUAD_TOL = 1e-10          # adaptive GK15 tolerance on multiplicative paths
 QUAD_MAX_DEPTH = 12       # and its bisection depth
@@ -140,16 +140,17 @@ def shift_step_representation(
     """Pointwise shift function of a path as an exact step function.
 
     Encodes s-averaged differences of semi-spectral cumulative functions:
-    the base CDF enters with weight one, each of the ``S_NODES``
-    Gauss-Legendre nodes s_i with weight -w_i, and the heights are traces
-    against the path direction.  All ``S_NODES + 1`` points go through one
-    stacked dilation and eigensolve
-    (:func:`~specshift.semispectral.semispectral_cdfs`).  The dilation
-    degree defaults to ``max_power + DEGREE_MARGIN`` and bounds the Fourier
-    modes that are faithful to the path.
+    the base CDF enters with weight one, each Gauss-Legendre node s_i with
+    weight -w_i, and the heights are traces against the path direction; all
+    go through one stacked eigensolve (:func:`~specshift.semispectral.semispectral_cdfs`).
+    The dilation degree N defaults to ``max_power + DEGREE_MARGIN`` and
+    bounds the moments c_m, m < N, that are faithful to the path.  On a
+    linear path their s-integrands are polynomials of degree m + 1 <= N, so
+    (N + 2) // 2 nodes integrate them exactly; a multiplicative path's
+    integrand is not polynomial and takes ``S_NODES`` nodes.
     """
     n = _dilation_degree(max_power, degree)
-    nodes, weights = gauss_legendre_01(S_NODES)
+    nodes, weights = gauss_legendre_01((n + 2) // 2 if path.kind == LINEAR else S_NODES)
     points = [path.base] + [path.at(float(s_i)) for s_i in nodes]
     cdfs = semispectral_cdfs(np.stack(points), n)
     signed = np.concatenate([[1.0], -weights])
@@ -186,12 +187,8 @@ def eta_moments_linear(path: PerturbationPath, ms) -> dict[int, complex]:
 
 
 def eta_moment_linear(path: PerturbationPath, m: int) -> complex:
-    """Contour moment c_m of the linear-path shift function, exactly.
-
-    The one-member case of :func:`eta_moments_linear`: ceil((m+2)/2)
-    Gauss-Legendre nodes, one power ladder up to m+1 over their stack; the
-    result is reproducible bit for bit.
-    """
+    """Contour moment c_m of the linear-path shift function, exactly: the
+    one-member case of :func:`eta_moments_linear`, reproducible bit for bit."""
     return eta_moments_linear(path, [m])[m]
 
 

@@ -16,7 +16,9 @@ characteristic polynomial.  The structured dilation route (Woodbury Cayley
 matrix at one rotation, eigenvalues only, eigenvectors from 2d x 2d
 kernels) solves each chunk of members once and hands the members it cannot
 vouch for to one dense solve; it is checked against the dense solve of the
-dilation unitary, also with the pole placed next to an eigenvalue.
+dilation unitary, also with the pole placed next to an eigenvalue.  Its
+eigenvalues are also checked without Schur, for every d, against the
+characteristic function of T*: they solve det(Theta_{T*}(conj z) - z^N I) = 0.
 """
 
 import warnings
@@ -227,6 +229,62 @@ class TestScalarDilationSpectrum:
         assert_characteristic_roots(angles[0], t, n)
 
 
+def characteristic_function(j, lam):
+    # Theta_{T*}(lam) = J22 + lam J21 (I - lam J11)^{-1} J12 of the Julia
+    # operator J = [[T, D_T*], [D_T, -T*]] at every lam: the Sz.-Nagy-Foias
+    # characteristic function of T*, unitary on the circle
+    d = j.shape[0] // 2
+    j11, j12, j21, j22 = j[:d, :d], j[:d, d:], j[d:, :d], j[d:, d:]
+    lam = lam[:, None, None]
+    inner = np.linalg.solve(np.eye(d) - lam * j11, np.broadcast_to(j12, (lam.size, d, d)))
+    return j22 + lam * (j21 @ inner)
+
+
+class TestCharacteristicFunctionOracle:
+    """U v = z v with v = (u, z^{N-1} y, ..., y) reads T u + D_T* y = z u and
+    D_T u - T* y = z^N y, so where z - T is regular every eigenvalue z of the
+    degree-N dilation solves det(Theta_{T*}(conj z) - z^N I) = 0.  The
+    eigenphases of the unitary W(theta) = e^{-iN theta} Theta_{T*}(e^{-i theta})
+    fall monotonically and det W winds -(N+1)d times, so that equation has
+    exactly (N+1)d roots on the circle.  No Schur decomposition is involved."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=SEED,
+        dim=st.integers(1, 6),
+        n=st.integers(1, 36),
+        radius=st.floats(0.05, 0.95),
+    )
+    def test_structured_angles_solve_the_characteristic_equation(
+        self, seed, dim, n, radius
+    ):
+        # a strict contraction has no unimodular eigenvalue: z - T is regular
+        t = radius * sampling.random_contraction(np.random.default_rng(seed), dim)
+        js = julia_operators(t[None])
+        with pytest.MonkeyPatch.context() as mp:
+            dense = spy_dense(mp)
+            ang, _ = semispectral._dilation_eigs(js, n)
+        assume(dense == [])  # the structured route vouched for every angle
+        m = (n + 1) * dim
+        assert ang.shape == (1, m)
+        z = np.exp(1j * ang[0])
+        theta = characteristic_function(js[0], z.conj())
+        sv = np.linalg.svd(theta - (z**n)[:, None, None] * np.eye(dim), compute_uv=False)
+        # the smallest singular value against the size of the two terms:
+        # |Theta| = |z^N| = 1 on the circle
+        scale = 1.0 + np.linalg.norm(theta, ord=2, axis=(1, 2))
+        assert np.all(sv[:, -1] <= 1e-10 * scale)
+        # the root count, from the winding of det W on a grid fine enough
+        # that no phase step is near pi
+        grid = np.linspace(0.0, TWO_PI, 256 * m + 1)
+        w = np.exp(-1j * n * grid)[:, None, None] * characteristic_function(
+            js[0], np.exp(-1j * grid)
+        )
+        phase = np.unwrap(np.angle(np.linalg.det(w)))
+        assert np.abs(np.diff(phase)).max() < 0.5 * np.pi
+        assert round((phase[-1] - phase[0]) / TWO_PI) == -m
+
+
 def dense_jumps(ts, n, drop_tol=-1.0):
     ang, vec = semispectral._unitary_eig(dilation_unitaries(ts, n))
     return semispectral._jump_lists(ang, vec[:, : ts.shape[1]], drop_tol)
@@ -264,6 +322,19 @@ def spy_structured(monkeypatch):
 
     monkeypatch.setattr(semispectral, "_dilation_cayley", wrapped)
     return calls
+
+
+def spy_kernels(monkeypatch):
+    # the number of eigenvalues of every bordered kernel solve
+    rows = []
+    original = semispectral._kernels
+
+    def wrapped(bordered, js, n, owner, z):
+        rows.append(z.size)
+        return original(bordered, js, n, owner, z)
+
+    monkeypatch.setattr(semispectral, "_kernels", wrapped)
+    return rows
 
 
 def edge_contraction(rng, kind, dim):
@@ -337,20 +408,36 @@ class TestStructuredRoute:
         # at theta = pi - 2 pi k/(N+1) the pole -e^{i theta} is an eigenvalue
         # of the block shift: (-e^{-i theta})^{N+1} = 1 and the circulant
         # (I + e^{-i theta} P)^{-1} does not exist, so every member of each
-        # chunk goes dense, in one call per chunk
+        # chunk goes dense, in one call per chunk, and no kernel is solved
         theta = np.pi - TWO_PI * k / (n + 1) + offset
         monkeypatch.setattr(semispectral, "_THETA0", theta)
         tried = spy_structured(monkeypatch)
         dense = spy_dense(monkeypatch)
+        kernels = spy_kernels(monkeypatch)
         rng = np.random.default_rng(dim * 100 + n)
         ts = np.stack([sampling.random_contraction(rng, dim) for _ in range(4)])
         cdfs = semispectral_cdfs(ts, n)  # MOMENT_FAIL would raise here
         assert all(t == theta for _, t in tried)
         assert dense == [js.shape[0] for js, _ in tried] and sum(dense) == 4
+        assert kernels == []
         want = dense_jumps(ts, n, semispectral._DROP_TOL)
         assert_same_jumps([(cdf.angles, cdf.blocks) for cdf in cdfs], want)
         for t, cdf in zip(ts, cdfs):
             assert moment_residual(cdf, t, n) <= 1e-9
+
+    def test_singular_circulant_at_the_rotation_skips_the_structured_pass(self, monkeypatch):
+        # at _THETA0 the circulant is first singular at N = 332: the member
+        # goes straight to the dense solve, with no eigenvalue to refine
+        n = 332
+        assert abs(1.0 - (-np.exp(-1j * semispectral._THETA0)) ** (n + 1)) <= (
+            semispectral._CIRCULANT_MIN
+        )
+        ts = sampling.random_contraction(np.random.default_rng(3), 1)[None]
+        dense = spy_dense(monkeypatch)
+        kernels = spy_kernels(monkeypatch)
+        ang, lead = semispectral._dilation_eigs(julia_operators(ts), n)
+        assert dense == [1] and kernels == []
+        assert_same_jumps(semispectral._jump_lists(ang, lead, -1.0), dense_jumps(ts, n), 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -376,7 +463,8 @@ class TestStructuredRoute:
         assert_same_jumps(semispectral._jump_lists(ang, lead, -1.0), dense_jumps(ts, n), 1e-10)
 
     def test_resolvent_paths_take_no_dense_solve(self, monkeypatch):
-        # the 33-point stacks of the resolvent pipeline at dims 2/4/6, N = 36
+        # the resolvent pipeline's stacks at dims 2/4/6, N = 36: the base
+        # and (N + 2) // 2 = 19 Gauss-Legendre nodes
         calls = spy_dense(monkeypatch)
         rng = np.random.default_rng(11)
         for dim in (2, 4, 6):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from specshift import (
@@ -159,6 +160,44 @@ class TestPointwiseLinear:
             step = shift_step_representation(path, max_power=7, degree=9)
             for m in range(7):
                 assert abs(step.contour_moment(m) - eta_moment_linear(path, m)) < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), n=st.integers(1, 36))
+    def test_derived_node_count_carries_every_moment(self, seed, dim, n):
+        # the degree-N dilation carries c_m for m < N, whose s-integrands
+        # have degree m + 1 <= N: (N + 2) // 2 nodes integrate them exactly
+        path = sampling.random_linear_path(np.random.default_rng(seed), dim)
+        step = shift_step_representation(path, max_power=n, degree=n)
+        for m, want in eta_moments_linear(path, range(n)).items():
+            assert abs(step.contour_moment(m) - want) <= 1e-10 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("dim,n", [(2, 4), (3, 8)])
+    def test_one_node_fewer_misses_a_moment(self, monkeypatch, dim, n):
+        # the derived count is tight: (N + 2) // 2 - 1 nodes integrate the
+        # top moments' s-integrands only approximately
+        path = sampling.random_linear_path(np.random.default_rng(dim * 100 + n), dim)
+        ref = eta_moments_linear(path, range(n))
+        fewer = shift.gauss_legendre_01((n + 2) // 2 - 1)
+        monkeypatch.setattr(shift, "gauss_legendre_01", lambda count: fewer)
+        step = shift_step_representation(path, max_power=n, degree=n)
+        gap = max(abs(step.contour_moment(m) - ref[m]) / (1.0 + abs(ref[m])) for m in ref)
+        assert gap > 1e-9
+
+    def test_node_count_follows_the_path(self, monkeypatch):
+        # linear paths take (N + 2) // 2 nodes; multiplicative ones S_NODES
+        counts = []
+        real = shift.gauss_legendre_01
+
+        def spy(count):
+            counts.append(count)
+            return real(count)
+
+        monkeypatch.setattr(shift, "gauss_legendre_01", spy)
+        rng = np.random.default_rng(9)
+        for n in (1, 4, 7, 36):
+            shift_step_representation(sampling.random_linear_path(rng, 2), max_power=n, degree=n)
+        shift_step_representation(sampling.random_multiplicative_path(rng, 2), max_power=3)
+        assert counts == [1, 3, 4, 19, shift.S_NODES]
 
 
 class TestMultiplicativeMoments:

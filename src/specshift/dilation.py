@@ -113,7 +113,10 @@ def julia_operators(ts) -> np.ndarray:
     on block rows (0, 1) and block columns (0, N) and is a block shift
     elsewhere, so U*U - I is J*J - I padded with zeros, and the unitarity
     check runs on J.  One stacked SVD gives both the contraction check and
-    the defect operators of every member.  Unitarity follows from the defect
+    the defect operators of every member.  A member whose largest singular
+    value lies above 1, inside the defect clamp, is dilated as its nearest
+    contraction W min(S, 1) X*, so that J stays unitary to rounding; the
+    others keep T bit for bit.  Unitarity follows from the defect
     identities together with T* D_T* = D_T T*; each member's residual is
     checked and one beyond ``UNITARITY_FAIL`` raises :class:`DilationError`.
     """
@@ -123,6 +126,8 @@ def julia_operators(ts) -> np.ndarray:
     if d and sig[:, 0].max(initial=0.0) > 1.0 + CONTRACTION_TOL:
         raise ValueError("dilation requires a contraction")
     pair = defects_from_svd(w, sig, xh)
+    over = sig.max(axis=1, initial=0.0) > 1.0
+    ts = np.where(over[:, None, None], (w * np.minimum(sig, 1.0)[:, None, :]) @ xh, ts)
     js = np.block([[ts, pair.d_tstar], [pair.d_t, -np.swapaxes(ts.conj(), 1, 2)]])
     gram = np.swapaxes(js.conj(), 1, 2) @ js
     gram -= np.eye(2 * d)

@@ -42,7 +42,8 @@ __all__ = [
 CONTRACTION_TOL = 1e-9
 
 # Eigenvalues of I - T*T inside [-DEFECT_CLAMP, 0] are flushed to zero when
-# building defect operators; anything lower means the input was never a
+# building defect operators, and the dilation then takes the nearest
+# contraction in place of T; anything lower means the input was never a
 # contraction.  Numerically unitary inputs must pass.
 DEFECT_CLAMP = 1e-10
 

@@ -147,29 +147,14 @@ def _unitary_eig(u: np.ndarray):
 
     One complex Schur decomposition U = Z S Z* per member; the angles are
     the arguments of the diagonal of S and are not yet wrapped.  For a
-    unitary S is diagonal to rounding and the Schur vectors are orthonormal
-    eigenvectors, clusters included.  A dilation unitary only to within the
-    defect clamp leaves an off-diagonal part of S of that size, which turns
-    eigenvector j away from Schur vector j by S_ij / (S_jj - S_ii) along
-    Schur vector i at first order, more than the clamp itself across gaps
-    below one.  That turn is applied between eigenvalues at least
-    ``_GAP_MIN`` apart, where the structured route trusts its kernel
-    eigenvectors, so the vectors there are the unit eigenvectors U v = q v
-    it returns, to second order.  Closer eigenvalues keep their orthonormal
-    Schur vectors: the turn, even at rounding, grows as the gap shrinks and
-    would leave jumps that no longer sum to the identity.
+    unitary S is diagonal to rounding and the orthonormal Schur vectors are
+    eigenvectors, clusters included, so the jumps sum to the identity.
     """
     ang = np.empty(u.shape[:2])
     vectors = np.empty(u.shape, dtype=np.complex128)
     for j, member in enumerate(u):
-        s, z = scipy.linalg.schur(member, output="complex")
-        lam = np.diagonal(s)
-        gap = lam - lam[:, None]  # S_jj - S_ii at (i, j)
-        apart = np.abs(gap) >= _GAP_MIN
-        turn = np.where(apart, np.triu(s, 1), 0.0) / np.where(apart, gap, 1.0)
-        v = z + z @ turn
-        vectors[j] = v / np.linalg.norm(v, axis=0)
-        ang[j] = np.angle(lam)
+        s, vectors[j] = scipy.linalg.schur(member, output="complex")
+        ang[j] = np.angle(np.diagonal(s))
     return ang, vectors
 
 
@@ -181,11 +166,10 @@ def _dilation_cayley(js: np.ndarray, n: int, theta: float) -> np.ndarray:
     I + cU = (I + cP) + cPE(G - I)E* with E the injection of blocks (0, N).
     (I + cP)^{-1} = sum_j a_j P^j, a_j = (-c)^j / (1 - (-c)^{N+1}), and
     Woodbury's identity adds a rank-2d correction.  Returns the Hermitian
-    parts of i(2(I + cU)^{-1} - I): a skew part, left by rounding or by a
-    dilation unitary only to within the defect clamp, would move the
-    eigenvalues at first order, while the Hermitian part moves them only at
-    second.  A member whose 2d x 2d capacitance matrix is singular comes
-    back as NaN, and every member does when the circulant is.
+    parts of i(2(I + cU)^{-1} - I): a skew part, left by rounding, would
+    move the eigenvalues at first order, while the Hermitian part moves
+    them only at second.  A member whose 2d x 2d capacitance matrix is
+    singular comes back as NaN, and every member does when the circulant is.
     """
     k, d2, _ = js.shape
     d, nb = d2 // 2, n + 1
@@ -219,28 +203,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...a,...a->...", a.conj(), b)
 
 
-def _geometric_sums(w: np.ndarray, n: int) -> np.ndarray:
-    # sum_{i<n} w^i for w near 1, without the cancellation in (w^n - 1)/(w - 1)
-    t = np.log(w)
-    flat = t == 0.0
-    return np.where(flat, n, np.expm1(n * t) / np.where(flat, 1.0, np.expm1(t)))
-
-
 def _rayleigh(js: np.ndarray, n: int, z: np.ndarray, x: np.ndarray):
     """Unit eigenvectors of the dilations from kernel vectors of K(z).
 
-    The vector of (u, y) = ``x`` is v = (u, z^{N-1} y, ..., z y, y), so
-    |v|^2 = |u|^2 + s_N |y|^2 with s_j = sum_{i<j} |z|^{2i}; v* U v and
-    |U v - q v| need only J (u, y), the first two blocks of U v, because
-    the shift blocks contribute s_{N-1} z |y|^2 and s_{N-1} |z - q|^2 |y|^2.
+    The vector of (u, y) = ``x`` is v = (u, z^{N-1} y, ..., z y, y), with z
+    on the unit circle, so |v|^2 = |u|^2 + N |y|^2; v* U v and |U v - q v|
+    need only J (u, y), the first two blocks of U v, because the shift
+    blocks contribute (N - 1) z |y|^2 and (N - 1) |z - q|^2 |y|^2.
     ``js`` broadcasts against ``x``.  Returns the Rayleigh quotients q, the
     leading blocks u / |v| and the eigen-residuals |U v - q v| / |v|.
     """
     d = js.shape[-1] // 2
-    w = np.abs(z) ** 2
-    s_prev = _geometric_sums(w, n - 1)
     u, y = x[..., :d], x[..., d:]
-    norms = np.sqrt(_dot(u, u).real + _geometric_sums(w, n) * _dot(y, y).real)
+    norms = np.sqrt(_dot(u, u).real + n * _dot(y, y).real)
     bad = ~(norms > 0.0)  # a singular kernel solve left x NaN (or zero): no eigenvector
     if bad.any():  # a complex division by a NaN or zero norm warns; NaN over 1 does not
         x, norms = np.where(bad[..., None], np.nan, x), np.where(bad, 1.0, norms)
@@ -249,11 +224,11 @@ def _rayleigh(js: np.ndarray, n: int, z: np.ndarray, x: np.ndarray):
     r = np.einsum("...ab,...b->...a", js, x)
     zn1 = z ** (n - 1)
     yy = _dot(y, y).real
-    quot = _dot(u, r[..., :d]) + zn1.conj() * _dot(y, r[..., d:]) + s_prev * z * yy
+    quot = _dot(u, r[..., :d]) + zn1.conj() * _dot(y, r[..., d:]) + (n - 1) * z * yy
     top = r[..., :d] - quot[..., None] * u
     bottom = r[..., d:] - (quot * zn1)[..., None] * y
     residual = np.sqrt(
-        _dot(top, top).real + _dot(bottom, bottom).real + s_prev * np.abs(z - quot) ** 2 * yy
+        _dot(top, top).real + _dot(bottom, bottom).real + (n - 1) * np.abs(z - quot) ** 2 * yy
     )
     return quot, u, residual
 
@@ -291,8 +266,9 @@ def _dilation_eigs(js: np.ndarray, n: int):
     (0, 1): x is parallel to K^{-1} b, and the bordered matrix stays regular
     where K(z) is singular to working precision.  Where the error bound
     residual / gap of the eigenvector exceeds ``_VECTOR_TOL``, a second
-    solve at the Rayleigh quotient (one step of Rayleigh quotient
-    iteration) removes the error of the eigenvalue solve from the vector.
+    solve at the Rayleigh quotient q, taken onto the circle as q / |q| (one
+    step of Rayleigh quotient iteration), removes the error of the
+    eigenvalue solve from the vector.
     The angle kept is that of the Rayleigh quotient v* U v.
 
     The members this pass cannot vouch for go through one dense
@@ -325,8 +301,9 @@ def _dilation_eigs(js: np.ndarray, n: int):
     # a unit eigenvector is off by at most residual / (gap to its neighbours)
     again = residual > _VECTOR_TOL * _nearest_gaps(np.angle(quot).reshape(k, m)).ravel()
     if again.any():
+        q = quot[again]
         quot[again], u[again], residual[again] = _kernels(
-            bordered, js, n, owner[again], quot[again]
+            bordered, js, n, owner[again], q / np.abs(q)
         )
     ang = np.angle(quot).reshape(k, m)
     lead = np.swapaxes(u.reshape(k, m, -1), 1, 2)

@@ -203,6 +203,19 @@ class TestCampaigns:
         for row in rows:
             assert float(row["lhs_re"]) == float(row["lhs_im"]) == float(row["residual"]) == 0.0
 
+    @pytest.mark.parametrize(
+        "kind", ["linear", "mult", "cayley_sa", "cayley_diss", "dilation", "truncate"]
+    )
+    def test_workers_write_the_same_csv(self, kind, tmp_path):
+        # the thread pool keeps trial order: two workers, the same bytes as one
+        csvs = []
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            cfg = CampaignConfig(kind=kind, trials=6, seed=3, workers=workers, out=str(out))
+            run_campaign(cfg)
+            csvs.append((out / "summary.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
     def test_transform_campaigns(self, kind, tmp_path):
         cfg = CampaignConfig(kind=kind, trials=2, seed=8, grid=512,

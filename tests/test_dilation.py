@@ -187,6 +187,24 @@ class TestNDilation:
             gram_u = np.swapaxes(u.conj(), 1, 2) @ u - np.eye(u.shape[1])
             assert_allclose(np.linalg.norm(gram_u, axis=(1, 2)), gram_j, rtol=1e-12)
 
+    @pytest.mark.parametrize("excess", [0.0, 1e-11, 4.5e-11])
+    def test_clamped_member_is_dilated_as_its_nearest_contraction(self, excess):
+        # above norm one inside the defect clamp, J holds W min(S, 1) X*
+        # and is unitary to rounding; the member at or below 1 keeps T bit
+        # for bit
+        rng = np.random.default_rng(15)
+        w, x = (sampling.random_unitary(rng, 3) for _ in range(2))
+        sig = np.array([1.0 + excess, 0.6, 0.2])
+        t = (w * sig) @ x.conj().T
+        inner = sampling.random_contraction(rng, 3)
+        js = dilation.julia_operators(np.stack([t, inner]))
+        assert np.array_equal(js[1, :3, :3], inner)
+        near = (w * np.minimum(sig, 1.0)) @ x.conj().T
+        assert_allclose(js[0, :3, :3], near, rtol=0, atol=1e-15)
+        assert_allclose(js[0, 3:, 3:], -near.conj().T, rtol=0, atol=1e-15)
+        gram = np.swapaxes(js.conj(), 1, 2) @ js - np.eye(6)
+        assert np.linalg.norm(gram, axis=(1, 2)).max() <= 1e-14
+
     def test_unitarity_is_checked_on_the_julia_operator(self, monkeypatch):
         exact = dilation.defects_from_svd
 

@@ -3,15 +3,13 @@ batched semi-spectral path.
 
 The oracle is the complex Schur route: for a unitary the Schur basis is
 orthonormal and its columns are eigenvectors, so clustering its diagonal and
-compressing its columns gives the reference jump measure.  Where a dilation
-is unitary only to within the defect clamp, the solvers return the unit
-eigenvectors U v = q v, and the oracle takes them from ``np.linalg.eig``.
-The dense solve (:func:`~specshift.semispectral._unitary_eig`) is that same
-Schur decomposition, its vectors turned into eigenvectors where the input is
-unitary only to within the defect clamp and the eigenvalues lie at least
-``_GAP_MIN`` apart, so two checks of it do not go through Schur: the moments
-of :func:`~specshift.semispectral.spectral_cdf_unitary` against matrix
-powers, and the eigenvalues of d = 1 dilations against the roots of their
+compressing its columns gives the reference jump measure.  A contraction
+inside the defect clamp is dilated as its nearest contraction, so every
+dilation is unitary to rounding and the same oracle serves it.  The dense
+solve (:func:`~specshift.semispectral._unitary_eig`) is that same Schur
+decomposition, so two checks of it do not go through Schur: the moments of
+:func:`~specshift.semispectral.spectral_cdf_unitary` against matrix powers,
+and the eigenvalues of d = 1 dilations against the roots of their
 characteristic polynomial.  The structured dilation route (Woodbury Cayley
 matrix at one rotation, eigenvalues only, eigenvectors from 2d x 2d
 kernels) solves each chunk of members once and hands the members it cannot
@@ -32,7 +30,7 @@ from numpy.testing import assert_allclose
 from specshift import MomentConsistencyError, dilation_unitaries, n_dilation, sampling
 from specshift import SelfAdjointPair, semispectral, shift_step_representation
 from specshift.dilation import julia_operators
-from specshift.opcore import DEFECT_CLAMP
+from specshift.opcore import DEFECT_CLAMP, is_unitary
 from specshift.semispectral import (
     CLUSTER_TOL,
     moment_residual,
@@ -45,14 +43,9 @@ TWO_PI = 2.0 * np.pi
 POLE = np.pi + semispectral._THETA0  # angle of the first rotation's pole
 
 
-def schur_basis(u):
+def oracle_jumps(u, compress_dim, drop_tol=-1.0, cluster_tol=CLUSTER_TOL):
     s, z = scipy.linalg.schur(u, output="complex")
-    return np.diagonal(s), z
-
-
-def oracle_jumps(u, compress_dim, drop_tol=-1.0, cluster_tol=CLUSTER_TOL, basis=schur_basis):
-    lam, z = basis(u)
-    ang = np.angle(lam)
+    ang = np.angle(np.diagonal(s))
     ang = np.where(ang <= 0.0, ang + TWO_PI, ang)
     ang = np.where((TWO_PI - ang < cluster_tol) | (ang < cluster_tol), TWO_PI, ang)
     order = np.argsort(ang, kind="stable")
@@ -70,8 +63,8 @@ def oracle_jumps(u, compress_dim, drop_tol=-1.0, cluster_tol=CLUSTER_TOL, basis=
     return np.array(angles), np.array(blocks)
 
 
-def assert_matches_oracle(cdf, u, compress_dim, drop_tol=-1.0, basis=schur_basis):
-    angles, blocks = oracle_jumps(u, compress_dim, drop_tol, basis=basis)
+def assert_matches_oracle(cdf, u, compress_dim, drop_tol=-1.0):
+    angles, blocks = oracle_jumps(u, compress_dim, drop_tol)
     assert cdf.angles.shape == angles.shape
     assert_allclose(cdf.angles, angles, rtol=0, atol=1e-10)
     assert_allclose(cdf.blocks, blocks, rtol=0, atol=1e-10)
@@ -160,6 +153,16 @@ class TestUnitaryAgainstSchur:
         assert cdf.angles.size == 3
         assert_allclose(cdf.blocks.sum(axis=0), np.eye(3), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_unitary_within_tolerance_keeps_unit_mass(self, seed):
+        # 2e-9 off unitary passes is_unitary; the orthonormal Schur vectors
+        # give jumps that sum to the identity
+        u = sampling.random_unitary(np.random.default_rng(seed), 4)
+        v = u + 2e-9 * np.triu(np.ones((4, 4)), 1)
+        assert is_unitary(v)
+        cdf = spectral_cdf_unitary(v)
+        assert_allclose(cdf.blocks.sum(axis=0), np.eye(4), rtol=0, atol=1e-12)
+
     def test_angles_near_zero_snap_to_two_pi(self):
         u = np.diag(np.exp(1j * np.array([0.4, -0.4, 0.2]) * CLUSTER_TOL))
         cdf = spectral_cdf_unitary(u)
@@ -187,11 +190,22 @@ class TestContractionEdge:
         herm = cdf.blocks.conj().transpose(0, 2, 1)  # every jump Hermitian and PSD
         assert_allclose(cdf.blocks, herm, rtol=0, atol=1e-9)
         assert np.linalg.eigvalsh(0.5 * (cdf.blocks + herm)).min() >= -1e-10
-        # inside the clamp the Schur vectors are off the eigenvectors U v = q v
-        # that both routes return by the Gram residual over the gap
         u = n_dilation(t, n).unitary
-        assert_matches_oracle(cdf, u, dim, drop_tol=1e-12, basis=np.linalg.eig)
+        assert_matches_oracle(cdf, u, dim, drop_tol=1e-12)
         assert moment_residual(cdf, t, n) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_close_eigenvalues_inside_the_clamp(self, seed):
+        # norm 1 + 4e-11 with two eigenvalues 1e-5 apart: the nearest
+        # contraction is dilated, unitary to rounding, so the jumps still
+        # sum to the identity and the moments match the input T
+        q = sampling.random_unitary(np.random.default_rng(seed), 3)
+        phis = np.array([0.3, 0.3 + 1e-5, 1.3])
+        t = (1.0 + 4e-11) * (q * np.exp(1j * phis)) @ q.conj().T
+        js = julia_operators(t[None])
+        assert np.linalg.norm(js[0].conj().T @ js[0] - np.eye(6)) <= 1e-14
+        cdf = semispectral_cdf(t, 4)
+        assert moment_residual(cdf, t, 4) <= 1e-9
 
 
 SCALAR = dict(
@@ -378,12 +392,7 @@ class TestStructuredRoute:
         with pytest.MonkeyPatch.context() as mp:
             calls = spy_dense(mp)
             ang, lead = semispectral._dilation_eigs(js, n)
-        # inside the defect clamp the dilation is unitary only to the Gram
-        # residual of its Julia operator, and its eigenprojections are
-        # fixed only to about that much
-        gram = np.swapaxes(js.conj(), 1, 2) @ js - np.eye(2 * dim)
-        atol = 1e-12 + np.linalg.norm(gram, axis=(1, 2)).max()
-        assert_same_jumps(semispectral._jump_lists(ang, lead, -1.0), want, atol)
+        assert_same_jumps(semispectral._jump_lists(ang, lead, -1.0), want)
         if dim > 1 and "zero" in kinds:
             # T = 0 dilates to the block shift: the roots of z^{N+1} = 1,
             # each d times, which no 2d x 2d kernel separates

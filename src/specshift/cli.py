@@ -14,7 +14,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -138,11 +138,11 @@ class CampaignConfig:
             if not isinstance(tols, dict):
                 raise ValueError("tolerances must be a JSON object")
             for key, value in data.items():
-                if not hasattr(cfg, key):
+                if key not in {f.name for f in fields(cfg)}:
                     raise ValueError(f"unknown config key {key!r}")
                 setattr(cfg, key, value)
             for key, value in tols.items():
-                if not hasattr(cfg.tolerances, key):
+                if key not in {f.name for f in fields(cfg.tolerances)}:
                     raise ValueError(f"unknown tolerance {key!r}")
                 setattr(cfg.tolerances, key, value)
         for key in ("kind", "seed", "trials", "grid", "out", "workers"):
@@ -177,6 +177,15 @@ def _sample_path(rng: np.random.Generator, kind: str, dim: int, zero_direction: 
     return sampling.random_multiplicative_path(rng, dim)
 
 
+def _sample_pair(rng: np.random.Generator, kind: str, dim: int, zero_direction: bool):
+    # cayley_sa: a Hermitian pair; cayley_diss: a dissipative pair; x0 is drawn first
+    sa = kind == "cayley_sa"
+    sample = sampling.random_hermitian if sa else sampling.random_dissipative
+    x0 = sample(rng, dim)
+    x = x0 if zero_direction else sample(rng, dim)
+    return SelfAdjointPair(x, x0) if sa else DissipativePair(x, x0)
+
+
 # --- per-kind trial bodies -------------------------------------------------
 
 
@@ -197,17 +206,11 @@ def _trial_mult(cfg: CampaignConfig, i: int) -> VerificationReport:
 
 
 def _trial_transform(cfg: CampaignConfig, i: int) -> VerificationReport:
-    # cayley_sa: a Hermitian pair; cayley_diss: a dissipative pair
-    sa = cfg.kind == "cayley_sa"
-    sample = sampling.random_hermitian if sa else sampling.random_dissipative
     rng = _trial_rng(cfg.seed, i)
-    dim = _pick(rng, cfg.dims)
-    x0 = sample(rng, dim)
-    x = x0 if cfg.zero_direction else sample(rng, dim)
-    pair = SelfAdjointPair(x, x0) if sa else DissipativePair(x, x0)
+    pair = _sample_pair(rng, cfg.kind, _pick(rng, cfg.dims), cfg.zero_direction)
     deg = max(_pick(rng, cfg.degrees), 2)
     phi = sampling.random_analytic_polynomial(rng, deg)
-    verify = verify_selfadjoint_formula if sa else verify_dissipative_formula
+    verify = verify_selfadjoint_formula if cfg.kind == "cayley_sa" else verify_dissipative_formula
     return verify(
         pair,
         phi,
@@ -389,18 +392,8 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
         header = "t,re_eta,im_eta"
         cols = (t, vals.real, vals.imag)
     else:
-        sa = cfg.kind == "cayley_sa"
-        sample = sampling.random_hermitian if sa else sampling.random_dissipative
-        x = sample(rng, dim)
-        x0 = x if cfg.zero_direction else sample(rng, dim)
-        pair = (SelfAdjointPair if sa else DissipativePair)(x, x0)
-        path = pair.circle_path()
-        line = gamma_pipeline(
-            path,
-            grid=cfg.grid,
-            max_power=max_deg,
-            require_unitary_endpoints=sa,
-        )
+        path = _sample_pair(rng, cfg.kind, dim, cfg.zero_direction).circle_path()
+        line = gamma_pipeline(path, grid=cfg.grid, max_power=max_deg)
         step = line.step
         t = (np.arange(cfg.grid) + 0.5) * (2.0 * np.pi / cfg.grid)
         lam = np.tan(0.5 * t)

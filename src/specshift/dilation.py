@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .opcore import (
-    CONTRACTION_TOL,
-    as_operator,
-    as_operator_stack,
-    defects,
-    defects_from_svd,
-    hs_norm,
-    is_contraction,
-)
+from .opcore import as_operator, as_operator_stack, defects, defects_from_svd, hs_norm
 
 __all__ = [
     "NDilation",
@@ -38,7 +30,7 @@ __all__ = [
 ]
 
 # Unitarity failure threshold for the finite dilation; exceeding it signals
-# defect clamping gone wrong upstream.
+# the defect operators gone wrong upstream.
 UNITARITY_FAIL = 1e-8
 
 
@@ -53,13 +45,12 @@ def schaffer_window(t, k: int) -> np.ndarray:
     and identities on (j, j+1) elsewhere; block j sits at rows (j + K)d.
     The centre block of the k-th power of the window reproduces T^k exactly
     for 1 <= k <= K, because the support of U^k applied to the centre never
-    leaves the window.
+    leaves the window.  The defect operators refuse a T that is not a
+    contraction (:class:`~specshift.opcore.NotAContractionError`).
     """
     t = as_operator(t)
     if k < 1:
         raise ValueError("window size must be at least 1")
-    if not is_contraction(t):
-        raise ValueError("Schaffer dilation requires a contraction")
     d = t.shape[0]
     pair = defects(t)
     out = np.eye((2 * k + 1) * d, k=d, dtype=np.complex128)
@@ -112,19 +103,18 @@ def julia_operators(ts) -> np.ndarray:
     J is all a dilation knows of T: the degree-N dilation unitary holds it
     on block rows (0, 1) and block columns (0, N) and is a block shift
     elsewhere, so U*U - I is J*J - I padded with zeros, and the unitarity
-    check runs on J.  One stacked SVD gives both the contraction check and
-    the defect operators of every member.  A member whose largest singular
-    value lies above 1, inside the defect clamp, is dilated as its nearest
-    contraction W min(S, 1) X*, so that J stays unitary to rounding; the
-    others keep T bit for bit.  Unitarity follows from the defect
-    identities together with T* D_T* = D_T T*; each member's residual is
-    checked and one beyond ``UNITARITY_FAIL`` raises :class:`DilationError`.
+    check runs on J.  One stacked SVD gives the defect operators of every
+    member, which refuse a stack holding a non-contraction
+    (:class:`~specshift.opcore.NotAContractionError`).  A member whose
+    largest singular value lies in (1, 1 + ``CONTRACTION_TOL``] is dilated
+    as its nearest contraction W min(S, 1) X*, so that J stays unitary to
+    rounding; the others keep T bit for bit.  Unitarity follows from the
+    defect identities together with T* D_T* = D_T T*; each member's residual
+    is checked and one beyond ``UNITARITY_FAIL`` raises :class:`DilationError`.
     """
     ts = as_operator_stack(ts)
     d = ts.shape[1]
     w, sig, xh = np.linalg.svd(ts)
-    if d and sig[:, 0].max(initial=0.0) > 1.0 + CONTRACTION_TOL:
-        raise ValueError("dilation requires a contraction")
     pair = defects_from_svd(w, sig, xh)
     over = sig.max(axis=1, initial=0.0) > 1.0
     ts = np.where(over[:, None, None], (w * np.minimum(sig, 1.0)[:, None, :]) @ xh, ts)

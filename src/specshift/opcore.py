@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "CONTRACTION_TOL",
-    "DEFECT_CLAMP",
     "HERMITIAN_TOL",
     "SUP_NORM_GRID",
     "NotAContractionError",
@@ -38,14 +37,11 @@ __all__ = [
     "hermitian_exp",
 ]
 
-# Spectral-norm slack accepted when classifying contractions.
-CONTRACTION_TOL = 1e-9
-
-# Eigenvalues of I - T*T inside [-DEFECT_CLAMP, 0] are flushed to zero when
-# building defect operators, and the dilation then takes the nearest
-# contraction in place of T; anything lower means the input was never a
-# contraction.  Numerically unitary inputs must pass.
-DEFECT_CLAMP = 1e-10
+# The one contraction rule: T is a contraction iff its largest singular value
+# is at most 1 + CONTRACTION_TOL.  Singular values in (1, 1 + CONTRACTION_TOL]
+# are flushed to 1 in the defect operators, and the dilation then takes the
+# nearest contraction in place of T.  Numerically unitary inputs must pass.
+CONTRACTION_TOL = 5e-11
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-8
@@ -101,11 +97,9 @@ def op_norm(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def is_contraction(t, tol: float = CONTRACTION_TOL) -> bool:
-    """True iff the largest singular value is <= 1 + tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return op_norm(t) <= 1.0 + tol
+def is_contraction(t) -> bool:
+    """True iff the largest singular value is at most 1 + ``CONTRACTION_TOL``."""
+    return op_norm(t) <= 1.0 + CONTRACTION_TOL
 
 
 def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
@@ -130,9 +124,9 @@ def defects(t) -> DefectPair:
     """Build both defect operators of a contraction from one SVD.
 
     With T = W S X*, the defects are X sqrt(I-S^2) X* and W sqrt(I-S^2) W*,
-    which makes the intertwining T D_T = D_T* T hold to rounding.  Squared
-    singular values above 1 by at most ``DEFECT_CLAMP`` are flushed to 1; a
-    larger excess raises :class:`NotAContractionError`.
+    which makes the intertwining T D_T = D_T* T hold to rounding.  Singular
+    values in (1, 1 + ``CONTRACTION_TOL``] are flushed to 1; a larger one
+    raises :class:`NotAContractionError`, by the rule of :func:`is_contraction`.
     """
     return defects_from_svd(*np.linalg.svd(as_operator(t)))
 
@@ -144,11 +138,11 @@ def defects_from_svd(w, sig, xh) -> DefectPair:
     already hold the singular values for a contraction check pay no second
     factorization.  Clamping and the raise are as in :func:`defects`.
     """
-    gap = (1.0 - sig) * (1.0 + sig)  # eigenvalues of I - T*T, accurately
-    if gap.size and gap.min(initial=0.0) < -DEFECT_CLAMP:
+    if sig.max(initial=0.0) > 1.0 + CONTRACTION_TOL:
         raise NotAContractionError(
-            f"largest singular value {sig.max():.12g} exceeds 1 beyond the clamp"
+            f"largest singular value {sig.max():.12g} exceeds 1 + CONTRACTION_TOL"
         )
+    gap = (1.0 - sig) * (1.0 + sig)  # eigenvalues of I - T*T, accurately
     root = np.sqrt(np.clip(gap, 0.0, None))[..., None, :]
     d_t = (np.swapaxes(xh.conj(), -1, -2) * root) @ xh
     d_tstar = (w * root) @ np.swapaxes(w.conj(), -1, -2)

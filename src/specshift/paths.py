@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from .opcore import (
-    CONTRACTION_TOL,
     TrigPolynomial,
     apply_function,
     as_operator,
@@ -50,10 +49,10 @@ class PerturbationPath:
         direction = as_operator(direction)
         if base.shape != direction.shape:
             raise ValueError("base and direction must have matching shape")
-        if not is_contraction(base, CONTRACTION_TOL):
+        if not is_contraction(base):
             raise ValueError("base point must be a contraction")
         if kind == LINEAR:
-            if not is_contraction(base + direction, CONTRACTION_TOL):
+            if not is_contraction(base + direction):
                 raise ValueError("linear path endpoint base + direction must be a contraction")
         else:
             if not is_hermitian(direction):

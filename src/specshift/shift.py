@@ -36,7 +36,7 @@ import time
 
 import numpy as np
 
-from .opcore import TrigPolynomial, hs_norm, is_unitary, power_ladder, signed_powers
+from .opcore import TrigPolynomial, hs_norm, power_ladder, signed_powers
 from .paths import LINEAR, MULTIPLICATIVE, PerturbationPath
 from .quadrature import QuadratureError, adaptive_gk15, gauss_legendre_01
 from .report import VerificationReport
@@ -485,13 +485,13 @@ def gamma_pipeline(
     grid: int = DEFAULT_GRID,
     max_power: int = 8,
     degree: int | None = None,
-    require_unitary_endpoints: bool = True,
 ) -> RealLineShift:
     """Transport a linear pair's shift function to the real line.
 
-    Intended for paths between Cayley transforms: endpoints are expected to
-    be unitary (set ``require_unitary_endpoints=False`` for contraction
-    pairs coming from dissipative operators).  ``max_power`` bounds the
+    Intended for paths between Cayley transforms, unitary ones of a
+    self-adjoint pair or contractions of a dissipative pair; the path
+    constructor has already checked that its endpoints are contractions,
+    and the pipeline is exact on any such path.  ``max_power`` bounds the
     polynomial degree downstream consumers may pair against; ``degree``
     overrides the dilation degree directly for consumers that integrate
     non-polynomial weights.  The line records the degree it was built at.
@@ -500,9 +500,6 @@ def gamma_pipeline(
         raise ValueError("the circle-to-line pipeline runs over linear paths")
     if grid < 256:
         raise ValueError("grid must have at least 256 points")
-    if require_unitary_endpoints:
-        if not (is_unitary(path.base) and is_unitary(path.at(1.0))):
-            raise ValueError("path endpoints must be unitary")
     n = _dilation_degree(max_power, degree)
     step = shift_step_representation(path, max_power, degree=n)
     return RealLineShift(step, grid=grid, degree=n)

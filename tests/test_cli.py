@@ -80,6 +80,9 @@ class TestTypedConfig:
             {"tolerances": {"circle": "1e-6"}},
             {"tolerances": 5},
             [1, 2],
+            {"validate": 1},
+            {"from_sources": 3},
+            {"tolerances": {"validate": 0}},
         ],
     )
     def test_bad_values_exit_two_with_one_line(self, tmp_path, capsys, data):
@@ -296,6 +299,35 @@ class TestEmission:
         err = capsys.readouterr().err
         assert err.startswith("check failed:") and err.count("\n") == 1
         assert not (out / "shift_samples.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["linear", "mult", "cayley_sa", "cayley_diss"])
+    def test_samples_follow_the_first_trials_path(self, kind, tmp_path, monkeypatch):
+        # eta at seed s samples the circle path of trial 0 of the campaign at s
+        seen = {}
+        check = cli._check_step
+        verifier = {
+            "linear": "verify_trace_formula_linear",
+            "mult": "verify_trace_formula_mult",
+            "cayley_sa": "verify_selfadjoint_formula",
+            "cayley_diss": "verify_dissipative_formula",
+        }[kind]
+        verify = getattr(cli, verifier)
+
+        def spy_check(cfg, path, *args):
+            seen["eta"] = path
+            return check(cfg, path, *args)
+
+        def spy_verify(subject, *args, **kwargs):
+            seen["trial"] = getattr(subject, "circle_path", lambda: subject)()
+            return verify(subject, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_check_step", spy_check)
+        monkeypatch.setattr(cli, verifier, spy_verify)
+        cfg = CampaignConfig(kind=kind, seed=2, grid=512, out=str(tmp_path / "o"))
+        emit_shift_samples(cfg)
+        cli._TRIALS[kind](cfg, 0)
+        assert np.array_equal(seen["eta"].base, seen["trial"].base)
+        assert np.array_equal(seen["eta"].direction, seen["trial"].direction)
 
     @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
     def test_xi_emission(self, kind, tmp_path):

@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from specshift import (
     DefectPair,
     DilationError,
+    PerturbationPath,
     defects,
     hs_difference_schaffer,
     hs_norm,
+    is_contraction,
+    moment_residual,
     n_dilation,
     schaffer_window,
     semispectral_cdf,
+    shift_step_representation,
 )
 from specshift import dilation, sampling
+from specshift.opcore import CONTRACTION_TOL
+from specshift.semispectral import MOMENT_FAIL
 
 
 def block(window: np.ndarray, d: int, i: int, j: int) -> np.ndarray:
@@ -189,7 +196,7 @@ class TestNDilation:
 
     @pytest.mark.parametrize("excess", [0.0, 1e-11, 4.5e-11])
     def test_clamped_member_is_dilated_as_its_nearest_contraction(self, excess):
-        # above norm one inside the defect clamp, J holds W min(S, 1) X*
+        # above norm one within CONTRACTION_TOL, J holds W min(S, 1) X*
         # and is unitary to rounding; the member at or below 1 keeps T bit
         # for bit
         rng = np.random.default_rng(15)
@@ -219,3 +226,43 @@ class TestNDilation:
             n_dilation(t, 4)
         with pytest.raises(DilationError):
             semispectral_cdf(t, 4)
+
+
+def boundary_operator(rng, dim, excess):
+    # largest singular value 1 + excess, the others in [0, 1)
+    w, x = (sampling.random_unitary(rng, dim) for _ in range(2))
+    sig = np.sort(rng.uniform(0.0, 1.0, dim))[::-1]
+    sig[0] = 1.0 + excess
+    return (w * sig) @ x.conj().T
+
+
+class TestContractionBoundary:
+    # one rule, CONTRACTION_TOL on the largest singular value, decides for the
+    # classifier, the path constructor, both dilations and the pointwise route
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        factor=st.sampled_from([0.0, 0.5, 0.9, 1.5, 4.0, 20.0]),
+    )
+    def test_one_rule_everywhere(self, seed, dim, factor):
+        rng = np.random.default_rng(seed)
+        t = boundary_operator(rng, dim, factor * CONTRACTION_TOL)
+        c = 0.9 * sampling.random_contraction(rng, dim)
+        checks = (
+            lambda: PerturbationPath.linear(t, c - t),
+            lambda: shift_step_representation(PerturbationPath.linear(t, c - t), max_power=4),
+            lambda: n_dilation(t, 5),
+            lambda: schaffer_window(t, 2),
+            lambda: hs_difference_schaffer(t, c),
+            lambda: semispectral_cdf(t, 36),
+        )
+        if factor < 1.0:
+            assert is_contraction(t)
+            *_, cdf = [check() for check in checks]
+            assert moment_residual(cdf, t, 36) <= MOMENT_FAIL
+        else:
+            assert not is_contraction(t)
+            for check in checks:
+                with pytest.raises(ValueError):
+                    check()

@@ -70,10 +70,6 @@ class TestContraction:
         assert sorted(np.linalg.svd(m, compute_uv=False)) == pytest.approx([0.0, 1.0])
         assert is_contraction(m)
 
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            is_contraction(np.eye(2), tol=-1.0)
-
 
 class TestDefects:
     def test_zero_contraction(self):

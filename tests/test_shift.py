@@ -439,12 +439,6 @@ class TestGammaPipeline:
             assert abs(line.eta_tilde(t) - (-1j * kappa)) < 1e-7
         assert line.diagnostics["zero_integral_grid"] <= 10 * line.diagnostics["zero_integral_tol"]
 
-    def test_requires_unitary_endpoints(self):
-        rng = np.random.default_rng(23)
-        path = sampling.random_linear_path(rng, 3)
-        with pytest.raises(ValueError):
-            gamma_pipeline(path, grid=512, max_power=3)
-
     def test_grid_minimum(self):
         rng = np.random.default_rng(24)
         path = self._unitary_path(rng, 2)
@@ -486,7 +480,7 @@ class TestGammaPipeline:
             else:
                 t, t0 = (cayley_dissipative(sampling.random_dissipative(rng, d)) for _ in range(2))
                 path = PerturbationPath.linear(t0, t - t0)
-            line = gamma_pipeline(path, grid=1024, max_power=6, require_unitary_endpoints=unitary)
+            line = gamma_pipeline(path, grid=1024, max_power=6)
             phi = sampling.random_analytic_polynomial(rng, 5)
             pairs = [(mobius_polynomial_flux(phi), mobius_polynomial_weight(phi))]
             pairs += [(resolvent_flux(z), resolvent_weight(z)) for z in (-2j, 1 - 2j)]

@@ -38,9 +38,12 @@ __all__ = [
 
 DISSIPATIVE_PSD_TOL = 1e-10
 EIGENVALUE_ONE_TOL = 1e-9
-CIRCLE_TOL = 1e-6
-REAL_LINE_TOL = 1e-4
-RESOLVENT_TOL = 1e-5
+TRANSFORM_UNITARY_TOL = 1e-9  # ||U*U - I||_HS of a self-adjoint pair's transforms
+
+# Verdict tolerances, read by the verifiers at call time.
+CIRCLE_TOL = 1e-6      # trace identity against the circle pairing, on 1 + |lhs|
+REAL_LINE_TOL = 1e-4   # circle pairing against the real-line one, on 1 + |rhs|
+RESOLVENT_TOL = 1e-5   # resolvent identity, on 1 + |lhs|
 RESOLVENT_DEGREE = 36
 
 
@@ -103,7 +106,7 @@ class SelfAdjointPair:
         if h.shape != h0.shape:
             raise ValueError("pair must share one dimension")
         u, u0 = cayley_sa(h), cayley_sa(h0)
-        if not (is_unitary(u, 1e-9) and is_unitary(u0, 1e-9)):
+        if not all(is_unitary(x, TRANSFORM_UNITARY_TOL) for x in (u, u0)):
             raise ValueError("Cayley transforms failed the unitarity check")
         object.__setattr__(self, "_path", PerturbationPath.linear(u0, u - u0))
 
@@ -148,13 +151,7 @@ class DissipativePair:
 
 
 def _verify_polynomial(
-    kind: str,
-    path: PerturbationPath,
-    phi: TrigPolynomial,
-    grid: int,
-    seed: int | None,
-    circle_tol: float,
-    realline_tol: float,
+    kind: str, path: PerturbationPath, phi: TrigPolynomial, grid: int, seed: int | None
 ) -> VerificationReport:
     if not phi.analytic:
         raise ValueError("the transform bridge applies to analytic polynomials")
@@ -165,7 +162,7 @@ def _verify_polynomial(
     rhs_b = line.pairing_realline(mobius_polynomial_flux(phi))
     res_a = abs(lhs - rhs_a)
     res_ab = abs(rhs_a - rhs_b)
-    passed = res_a <= circle_tol * (1.0 + abs(lhs)) and res_ab <= realline_tol * (
+    passed = res_a <= CIRCLE_TOL * (1.0 + abs(lhs)) and res_ab <= REAL_LINE_TOL * (
         1.0 + abs(rhs_a)
     )
     return VerificationReport(
@@ -173,7 +170,7 @@ def _verify_polynomial(
         lhs=lhs,
         rhs=rhs_a,
         residual=res_a,
-        tol=circle_tol,
+        tol=CIRCLE_TOL,
         passed=passed,
         dim=path.dim,
         degree=phi.max_index,
@@ -182,7 +179,7 @@ def _verify_polynomial(
         extras={
             "rhs_realline": rhs_b,
             "residual_circle_vs_realline": res_ab,
-            "realline_tol": realline_tol,
+            "realline_tol": REAL_LINE_TOL,
             "zero_integral_grid": line.diagnostics["zero_integral_grid"],
         },
     )
@@ -193,26 +190,16 @@ def verify_selfadjoint_formula(
     phi: TrigPolynomial,
     grid: int = DEFAULT_GRID,
     seed: int | None = None,
-    circle_tol: float = CIRCLE_TOL,
-    realline_tol: float = REAL_LINE_TOL,
 ) -> VerificationReport:
     """Verify the self-adjoint trace identity along both routes.
 
     The left side lives on the circle through the transform bridge; the
     right side is computed (a) from the circle Fourier data of the pipeline
     output and (b) as a real-line integral of the pulled-back weight against
-    xi.  Both residuals enter the verdict: (a) against ``circle_tol`` on the
-    scale 1 + |lhs|, (a) - (b) against ``realline_tol`` on 1 + |rhs (a)|.
+    xi.  Both residuals enter the verdict: (a) against ``CIRCLE_TOL`` on the
+    scale 1 + |lhs|, (a) - (b) against ``REAL_LINE_TOL`` on 1 + |rhs (a)|.
     """
-    return _verify_polynomial(
-        "cayley_sa",
-        pair.circle_path(),
-        phi,
-        grid,
-        seed,
-        circle_tol=circle_tol,
-        realline_tol=realline_tol,
-    )
+    return _verify_polynomial("cayley_sa", pair.circle_path(), phi, grid, seed)
 
 
 def verify_dissipative_formula(
@@ -220,20 +207,10 @@ def verify_dissipative_formula(
     phi: TrigPolynomial,
     grid: int = DEFAULT_GRID,
     seed: int | None = None,
-    circle_tol: float = CIRCLE_TOL,
-    realline_tol: float = REAL_LINE_TOL,
 ) -> VerificationReport:
-    """Same pipeline and tolerances as the self-adjoint case, over contraction
-    transforms."""
-    return _verify_polynomial(
-        "cayley_diss",
-        pair.circle_path(),
-        phi,
-        grid,
-        seed,
-        circle_tol=circle_tol,
-        realline_tol=realline_tol,
-    )
+    """Same pipeline and tolerances (``CIRCLE_TOL``, ``REAL_LINE_TOL``) as the
+    self-adjoint case, over contraction transforms."""
+    return _verify_polynomial("cayley_diss", pair.circle_path(), phi, grid, seed)
 
 
 def resolvent_pipeline(
@@ -254,7 +231,6 @@ def verify_resolvent_formula(
     z: complex,
     grid: int | None = None,
     degree: int | None = None,
-    tol: float = RESOLVENT_TOL,
     seed: int | None = None,
     line: RealLineShift | None = None,
 ) -> VerificationReport:
@@ -271,7 +247,8 @@ def verify_resolvent_formula(
     -(1 + lam^2) / (lam - z)^2.  The pulled-back symbol is a full analytic
     series whose modes decay like |tau|^{-k} with tau = (i - z)/(i + z),
     |tau| > 1, so the dilation ``degree`` controls the truncation tail; the
-    default ``RESOLVENT_DEGREE`` covers |tau| >= 2 at tolerance 1e-5.
+    default ``RESOLVENT_DEGREE`` covers |tau| >= 2 at ``RESOLVENT_TOL`` on
+    the scale 1 + |lhs|.
 
     A prebuilt ``line`` (from :func:`resolvent_pipeline`) is used as built:
     the report carries its degree and grid, and an explicit ``degree`` or
@@ -311,8 +288,8 @@ def verify_resolvent_formula(
         lhs=lhs,
         rhs=rhs,
         residual=residual,
-        tol=tol,
-        passed=residual <= tol * (1.0 + abs(lhs)),
+        tol=RESOLVENT_TOL,
+        passed=residual <= RESOLVENT_TOL * (1.0 + abs(lhs)),
         dim=pair.dim,
         degree=line.degree,
         seed=seed,

@@ -21,8 +21,6 @@ import numpy as np
 
 from . import sampling
 from .cayley import (
-    CIRCLE_TOL,
-    REAL_LINE_TOL,
     DissipativePair,
     SelfAdjointPair,
     verify_dissipative_formula,
@@ -33,7 +31,6 @@ from .opcore import TrigPolynomial, hs_norm, is_unitary, power_ladder
 from .paths import LINEAR, PerturbationPath
 from .report import VerificationReport, _num, write_csv, write_reports_json
 from .shift import (
-    BOUND_SLACK,
     DEFAULT_GRID,
     TRACE_TOL_LINEAR,
     TRACE_TOL_MULT,
@@ -65,21 +62,6 @@ REMAINDER_SLACK = 1e-10      # exponential remainder gap over its closed-form bo
 TRUNCATION_GAP_TOL = 1e-12   # compression gap at full rank
 
 
-@dataclass
-class Tolerances:
-    trace_formula: float = TRACE_TOL_LINEAR
-    trace_formula_mult: float = TRACE_TOL_MULT
-    bound_slack: float = BOUND_SLACK
-    circle: float = CIRCLE_TOL
-    realline: float = REAL_LINE_TOL
-
-    def validate(self):
-        for name, value in asdict(self).items():
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (number and math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {name} must be a positive number, got {value!r}")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -95,7 +77,6 @@ class CampaignConfig:
     out: str = "specshift-out"
     zero_direction: bool = False
     workers: int = 1
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def validate(self):
         for name in ("seed", "trials", "grid", "workers"):
@@ -124,7 +105,6 @@ class CampaignConfig:
             raise ValueError("grid must be at least 256")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        self.tolerances.validate()
 
     @classmethod
     def from_sources(cls, args: argparse.Namespace) -> "CampaignConfig":
@@ -134,17 +114,10 @@ class CampaignConfig:
                 data = json.load(fh)
             if not isinstance(data, dict):
                 raise ValueError("a config file holds one JSON object")
-            tols = data.pop("tolerances", {})
-            if not isinstance(tols, dict):
-                raise ValueError("tolerances must be a JSON object")
             for key, value in data.items():
                 if key not in {f.name for f in fields(cfg)}:
                     raise ValueError(f"unknown config key {key!r}")
                 setattr(cfg, key, value)
-            for key, value in tols.items():
-                if key not in {f.name for f in fields(cfg.tolerances)}:
-                    raise ValueError(f"unknown tolerance {key!r}")
-                setattr(cfg.tolerances, key, value)
         for key in ("kind", "seed", "trials", "grid", "out", "workers"):
             value = getattr(args, key, None)
             if value is not None:
@@ -194,7 +167,7 @@ def _trial_linear(cfg: CampaignConfig, i: int) -> VerificationReport:
     path = _sample_path(rng, "linear", _pick(rng, cfg.dims), cfg.zero_direction)
     deg = _pick(rng, cfg.degrees)
     p = sampling.random_analytic_polynomial(rng, deg)
-    return verify_trace_formula_linear(path, p, tol=cfg.tolerances.trace_formula, seed=i)
+    return verify_trace_formula_linear(path, p, seed=i)
 
 
 def _trial_mult(cfg: CampaignConfig, i: int) -> VerificationReport:
@@ -202,7 +175,7 @@ def _trial_mult(cfg: CampaignConfig, i: int) -> VerificationReport:
     path = _sample_path(rng, "mult", _pick(rng, cfg.dims), cfg.zero_direction)
     deg = max(_pick(rng, cfg.degrees), 1)
     p = sampling.random_trig_polynomial(rng, deg)
-    return verify_trace_formula_mult(path, p, tol=cfg.tolerances.trace_formula_mult, seed=i)
+    return verify_trace_formula_mult(path, p, seed=i)
 
 
 def _trial_transform(cfg: CampaignConfig, i: int) -> VerificationReport:
@@ -211,14 +184,7 @@ def _trial_transform(cfg: CampaignConfig, i: int) -> VerificationReport:
     deg = max(_pick(rng, cfg.degrees), 2)
     phi = sampling.random_analytic_polynomial(rng, deg)
     verify = verify_selfadjoint_formula if cfg.kind == "cayley_sa" else verify_dissipative_formula
-    return verify(
-        pair,
-        phi,
-        grid=cfg.grid,
-        seed=i,
-        circle_tol=cfg.tolerances.circle,
-        realline_tol=cfg.tolerances.realline,
-    )
+    return verify(pair, phi, grid=cfg.grid, seed=i)
 
 
 def _trial_dilation(cfg: CampaignConfig, i: int) -> VerificationReport:
@@ -331,22 +297,14 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[VerificationReport]]:
     if cfg.kind == "linear" and not cfg.zero_direction:
         rng = _trial_rng(cfg.seed, cfg.trials)
         path = sampling.random_linear_path(rng, _pick(rng, cfg.dims))
-        reports.append(
-            quotient_bound_test(
-                path,
-                trials=min(cfg.trials * 5, 500),
-                max_deg=max(cfg.degrees),
-                seed=cfg.seed,
-                slack=cfg.tolerances.bound_slack,
-            )
-        )
+        trials = min(cfg.trials * 5, 500)
+        reports.append(quotient_bound_test(path, trials, max(cfg.degrees), cfg.seed))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "summary.csv", reports)
     write_reports_json(out / "reports.json", reports)
     with open(out / "config.json", "w") as fh:
-        data = asdict(cfg)
-        json.dump(data, fh, indent=1, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=1, sort_keys=True)
         fh.write("\n")
     status = 0 if all(r.passed for r in reports) else 1
     return status, reports
@@ -358,11 +316,11 @@ def _check_step(cfg: CampaignConfig, path: PerturbationPath, step, max_deg: int)
     if path.kind == LINEAR:
         ref = eta_moments_linear(path, range(max_deg))
         got = {m: step.contour_moment(m) for m in ref}
-        tol = cfg.tolerances.trace_formula
+        tol = TRACE_TOL_LINEAR
     else:
         ref = eta_tilde_moments_mult(path, [r for r in range(-max_deg, max_deg + 1) if r])
         got = {r: step.time_fourier(r) for r in ref}
-        tol = cfg.tolerances.trace_formula_mult
+        tol = TRACE_TOL_MULT
     gap = max((abs(got[k] - ref[k]) / (1.0 + abs(ref[k])) for k in ref), default=0.0)
     if not gap <= tol:
         raise PipelineError(

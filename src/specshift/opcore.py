@@ -102,9 +102,10 @@ def is_contraction(t) -> bool:
     return op_norm(t) <= 1.0 + CONTRACTION_TOL
 
 
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a) -> bool:
+    """True iff no entry of A - A* exceeds ``HERMITIAN_TOL`` in modulus."""
     a = as_operator(a)
-    return float(np.abs(a - a.conj().T).max(initial=0.0)) <= tol
+    return float(np.abs(a - a.conj().T).max(initial=0.0)) <= HERMITIAN_TOL
 
 
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:

@@ -22,11 +22,17 @@ class QuadratureError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    """Gauss-Legendre nodes and weights mapped to [0, 1].
+
+    The arrays are cached and shared by every caller, so they are read-only.
+    """
     if n < 1:
         raise ValueError("need at least one node")
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 # 15-point Kronrod extension of 7-point Gauss (standard tabulated values).
@@ -63,13 +69,7 @@ def _gk15(f: Callable, a: float, b: float):
     return kron, err
 
 
-def adaptive_gk15(
-    f: Callable,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 12,
-):
+def adaptive_gk15(f: Callable, a: float, b: float, tol: float, max_depth: int):
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
     ``f`` may return a scalar or an array; the error is controlled in the

@@ -58,9 +58,10 @@ __all__ = [
     "mobius_polynomial_flux",
 ]
 
-TRACE_TOL_LINEAR = 1e-8
-TRACE_TOL_MULT = 1e-7
-BOUND_SLACK = 1e-6
+# Verdict tolerances, read by the verifiers at call time.
+TRACE_TOL_LINEAR = 1e-8   # linear trace identity, on the scale 1 + |lhs|
+TRACE_TOL_MULT = 1e-7     # multiplicative trace identity, on the scale 1 + |lhs|
+BOUND_SLACK = 1e-6        # quotient-bound cushion, in units of ||dir||_2^2
 
 # Default circle grid of the real-line pipeline (its zero-integral check)
 # and of campaigns.
@@ -224,15 +225,13 @@ def eta_tilde_moments_mult(path: PerturbationPath, rs) -> dict[int, complex]:
 
 
 def verify_trace_formula_linear(
-    path: PerturbationPath,
-    p: TrigPolynomial,
-    tol: float = TRACE_TOL_LINEAR,
-    seed: int | None = None,
+    path: PerturbationPath, p: TrigPolynomial, seed: int | None = None
 ) -> VerificationReport:
     """Check the linear-path trace identity for an analytic polynomial.
 
     The left side is assembled directly from matrix powers; the right side
-    pairs p'' with the moment-route shift data.  Failures become report
+    pairs p'' with the moment-route shift data.  The residual passes within
+    ``TRACE_TOL_LINEAR`` on the scale 1 + |lhs|.  Failures become report
     verdicts, never exceptions.
     """
     if not p.analytic:
@@ -245,14 +244,13 @@ def verify_trace_formula_linear(
         if r >= 2:
             rhs += c * r * (r - 1) * moments[r - 2]
     residual = abs(lhs - rhs)
-    scale = 1.0 + abs(lhs)
     return VerificationReport(
         kind="linear",
         lhs=lhs,
         rhs=rhs,
         residual=residual,
-        tol=tol,
-        passed=residual <= tol * scale,
+        tol=TRACE_TOL_LINEAR,
+        passed=residual <= TRACE_TOL_LINEAR * (1.0 + abs(lhs)),
         dim=path.dim,
         degree=p.max_index,
         seed=seed,
@@ -261,14 +259,12 @@ def verify_trace_formula_linear(
 
 
 def verify_trace_formula_mult(
-    path: PerturbationPath,
-    p: TrigPolynomial,
-    tol: float = TRACE_TOL_MULT,
-    seed: int | None = None,
+    path: PerturbationPath, p: TrigPolynomial, seed: int | None = None
 ) -> VerificationReport:
     """Check the multiplicative-path trace identity for a trig polynomial.
 
-    The constant coefficient is irrelevant to both sides.  Quadrature
+    The constant coefficient is irrelevant to both sides.  The residual
+    passes within ``TRACE_TOL_MULT`` on the scale 1 + |lhs|.  Quadrature
     failure is recorded in the report rather than raised.
     """
     start = time.perf_counter()
@@ -285,14 +281,13 @@ def verify_trace_formula_mult(
         extras["quadrature_error"] = str(exc)
         extras["quadrature_estimate"] = exc.estimate
     residual = abs(lhs - rhs) if quad_ok else float("inf")
-    scale = 1.0 + abs(lhs)
     return VerificationReport(
         kind="mult",
         lhs=lhs,
         rhs=rhs,
         residual=residual,
-        tol=tol,
-        passed=quad_ok and residual <= tol * scale,
+        tol=TRACE_TOL_MULT,
+        passed=quad_ok and residual <= TRACE_TOL_MULT * (1.0 + abs(lhs)),
         dim=path.dim,
         degree=max((abs(r) for r, _ in p), default=0),
         seed=seed,
@@ -302,18 +297,15 @@ def verify_trace_formula_mult(
 
 
 def quotient_bound_test(
-    path: PerturbationPath,
-    trials: int,
-    max_deg: int,
-    seed: int,
-    slack: float = BOUND_SLACK,
+    path: PerturbationPath, trials: int, max_deg: int, seed: int
 ) -> VerificationReport:
     """Test the quotient-norm bound: |pairing(f, eta)| <= sup|f| ||dir||_2^2 / 2.
 
     Random analytic polynomials f of degree at most ``max_deg`` are paired
     with the shift data through its contour moments.  The sup norm of f is a
     2048-point grid estimate, so the inequality is asserted with an explicit
-    ``slack * ||dir||_2^2`` cushion; the report carries the worst ratio seen.
+    ``BOUND_SLACK * ||dir||_2^2`` cushion; the report carries the worst ratio
+    seen.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -342,16 +334,16 @@ def quotient_bound_test(
         sup = f.sup_norm_estimate()
         paired = abs(pairing(coeffs))
         bound = 0.5 * sup * dir_sq
-        worst_excess = max(worst_excess, paired - bound - slack * dir_sq)
+        worst_excess = max(worst_excess, paired - bound - BOUND_SLACK * dir_sq)
         if bound > 0:
             max_ratio = max(max_ratio, paired / bound)
-    passed = worst_excess <= 0 and (dir_sq == 0 or max_ratio <= 1.0 + slack)
+    passed = worst_excess <= 0 and (dir_sq == 0 or max_ratio <= 1.0 + BOUND_SLACK)
     return VerificationReport(
         kind=f"quotient_bound_{path.kind}",
         lhs=complex(max_ratio),
         rhs=complex(1.0),
         residual=max(0.0, max_ratio - 1.0),
-        tol=slack,
+        tol=BOUND_SLACK,
         passed=passed,
         dim=path.dim,
         degree=max_deg,

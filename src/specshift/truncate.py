@@ -21,6 +21,7 @@ from .opcore import (
     hermitian_exp,
     hs_norm,
     is_hermitian,
+    is_unitary,
     op_norm,
     signed_powers,
     trace_norm,
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 NORMALITY_TOL = 1e-9
+BASIS_UNITARY_TOL = 1e-9  # ||B*B - I||_HS of a projection basis
 ROTATION_ANGLE = 0.1
 POWER_CAP = 3
 
@@ -68,7 +70,7 @@ class ProjectionSequence:
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         if basis.shape != (self.ambient_dim, self.ambient_dim):
             raise ValueError("basis must be square of the ambient dimension")
-        if hs_norm(basis.conj().T @ basis - np.eye(self.ambient_dim)) > 1e-9:
+        if not is_unitary(basis, BASIS_UNITARY_TOL):
             raise ValueError("basis must be unitary")
         if not self.ranks or any(r < 1 or r > self.ambient_dim for r in self.ranks):
             raise ValueError("ranks must lie in [1, ambient_dim]")

@@ -16,7 +16,7 @@ from specshift import (
     verify_resolvent_formula,
     verify_selfadjoint_formula,
 )
-from specshift import sampling
+from specshift import cayley, sampling
 
 
 def w_path(pair, s):
@@ -82,7 +82,7 @@ class TestCayleyTransform:
         rng = np.random.default_rng(1)
         for _ in range(10):
             u = cayley_sa(sampling.random_hermitian(rng, int(rng.integers(1, 7))))
-            assert is_unitary(u, 1e-9)
+            assert is_unitary(u, cayley.TRANSFORM_UNITARY_TOL)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -201,7 +201,7 @@ class TestSelfAdjointFormula:
             assert rep.extras["residual_circle_vs_realline"] <= 1e-4
 
     @pytest.mark.parametrize("verify", [verify_selfadjoint_formula, verify_dissipative_formula])
-    def test_tolerances_reach_the_verdict(self, verify):
+    def test_tolerances_reach_the_verdict(self, verify, monkeypatch):
         rng = np.random.default_rng(11)
         if verify is verify_selfadjoint_formula:
             pair = SelfAdjointPair(sampling.random_hermitian(rng, 3), sampling.random_hermitian(rng, 3))
@@ -209,9 +209,13 @@ class TestSelfAdjointFormula:
             pair = DissipativePair(sampling.random_dissipative(rng, 3), sampling.random_dissipative(rng, 3))
         phi = TrigPolynomial({2: 1.0, 3: 0.5})
         assert verify(pair, phi, grid=512).passed
-        tight_circle = verify(pair, phi, grid=512, circle_tol=1e-30)
+        with monkeypatch.context() as patch:
+            patch.setattr(cayley, "CIRCLE_TOL", 1e-30)
+            tight_circle = verify(pair, phi, grid=512)
         assert not tight_circle.passed and tight_circle.tol == 1e-30
-        tight_line = verify(pair, phi, grid=512, realline_tol=1e-30)
+        with monkeypatch.context() as patch:
+            patch.setattr(cayley, "REAL_LINE_TOL", 1e-30)
+            tight_line = verify(pair, phi, grid=512)
         assert not tight_line.passed and tight_line.extras["realline_tol"] == 1e-30
 
     def test_degree_beyond_an_eighth_of_the_grid(self):

@@ -4,11 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from specshift import cli, shift
-from specshift.cayley import CIRCLE_TOL, REAL_LINE_TOL
+from specshift import cayley, cli, shift
 from specshift.cli import (
     CampaignConfig,
-    Tolerances,
     emit_shift_samples,
     main,
     run_campaign,
@@ -28,21 +26,6 @@ class TestConfig:
         cfg = CampaignConfig(kind="bogus")
         with pytest.raises(ValueError):
             cfg.validate()
-
-    def test_nonpositive_tolerance_rejected(self):
-        cfg = CampaignConfig()
-        cfg.tolerances.trace_formula = 0.0
-        with pytest.raises(ValueError):
-            cfg.validate()
-
-    def test_tolerance_defaults_are_the_library_constants(self):
-        assert Tolerances() == Tolerances(
-            trace_formula=shift.TRACE_TOL_LINEAR,
-            trace_formula_mult=shift.TRACE_TOL_MULT,
-            bound_slack=shift.BOUND_SLACK,
-            circle=CIRCLE_TOL,
-            realline=REAL_LINE_TOL,
-        )
 
     def test_flags_override_file(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -76,13 +59,14 @@ class TestTypedConfig:
             {"zero_direction": "yes"},
             {"seed": -1},
             {"kind": ["linear"]},
-            {"tolerances": {"circle": None}},
-            {"tolerances": {"circle": "1e-6"}},
-            {"tolerances": 5},
+            # verdict tolerances are module constants, not config keys
+            {"tolerances": {"trace_formula": 1e-8}},
+            {"workers": 0},
+            {"grid": 128},
             [1, 2],
             {"validate": 1},
             {"from_sources": 3},
-            {"tolerances": {"validate": 0}},
+            {"degrees": []},
         ],
     )
     def test_bad_values_exit_two_with_one_line(self, tmp_path, capsys, data):
@@ -94,23 +78,16 @@ class TestTypedConfig:
         assert err.startswith("invalid configuration:") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
-    def test_route_agreement_is_not_a_tolerance(self, tmp_path):
-        # no campaign verifier reads a route-agreement tolerance
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"tolerances": {"route_agreement": 1e-6}}))
-        assert main(["verify", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
-
 
 class TestTransformTolerances:
     @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
     @pytest.mark.parametrize("key", ["circle", "realline"])
-    def test_tight_tolerance_fails(self, tmp_path, kind, key):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({
-            "kind": kind, "trials": 3, "tolerances": {key: 1e-30},
-            "out": str(tmp_path / "o"),
-        }))
-        assert main(["verify", "--config", str(cfg_file)]) == 1
+    def test_tight_tolerance_fails(self, tmp_path, monkeypatch, kind, key):
+        # the campaign verdicts read the cayley module constants
+        constant = {"circle": "CIRCLE_TOL", "realline": "REAL_LINE_TOL"}[key]
+        monkeypatch.setattr(cayley, constant, 1e-30)
+        code = main(["verify", "--kind", kind, "--trials", "3", "--out", str(tmp_path / "o")])
+        assert code == 1
         entries = json.loads((tmp_path / "o" / "reports.json").read_text())
         assert all(entry["verdict"] == "fail" for entry in entries)
 
@@ -132,14 +109,10 @@ class TestExitCodes:
                      "--trials", "1", "--out", str(tmp_path / "o")])
         assert code == 0
 
-    def test_failing_campaign_exits_one(self, tmp_path):
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({
-            "kind": "linear", "trials": 3, "seed": 4,
-            "tolerances": {"trace_formula": 1e-30},
-            "out": str(tmp_path / "o"),
-        }))
-        code = main(["verify", "--config", str(cfg_file)])
+    def test_failing_campaign_exits_one(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(shift, "TRACE_TOL_LINEAR", 1e-30)
+        code = main(["verify", "--kind", "linear", "--trials", "3", "--seed", "4",
+                     "--out", str(tmp_path / "o")])
         assert code == 1
 
     def test_report_missing_directory(self, tmp_path):
@@ -287,14 +260,14 @@ class TestEmission:
         assert not (out / "shift_samples.csv").exists()
 
     @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
-    def test_transform_step_mismatch_exits_one_without_samples(self, kind, tmp_path, capsys):
+    def test_transform_step_mismatch_exits_one_without_samples(
+        self, kind, tmp_path, monkeypatch, capsys
+    ):
         # the transform kinds check the line's step function against the
         # linear moment route of their circle path before writing
-        cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps({"tolerances": {"trace_formula": 1e-30}}))
+        monkeypatch.setattr(cli, "TRACE_TOL_LINEAR", 1e-30)
         out = tmp_path / "o"
-        code = main(["eta", "--kind", kind, "--seed", "1", "--config", str(cfg_file),
-                     "--out", str(out)])
+        code = main(["eta", "--kind", kind, "--seed", "1", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("check failed:") and err.count("\n") == 1

@@ -203,14 +203,6 @@ class TrigPolynomial:
             out = out + c * z**k
         return out if out.ndim else complex(out)
 
-    def at_angle(self, t):
-        """Evaluate f(e^{it}) for scalar or array t."""
-        t = np.asarray(t, dtype=np.float64)
-        out = np.zeros(t.shape, dtype=np.complex128)
-        for k, c in self._coeffs.items():
-            out += c * np.exp(1j * k * t)
-        return out if out.ndim else complex(out)
-
     def derivative(self) -> "TrigPolynomial":
         """d/dz derivative; defined for analytic symbols only."""
         if not self.analytic:
@@ -218,9 +210,15 @@ class TrigPolynomial:
         return TrigPolynomial({k - 1: k * c for k, c in self._coeffs.items() if k != 0})
 
     def sup_norm_estimate(self) -> float:
-        """Max of |f| over ``SUP_NORM_GRID`` uniform angles (an estimate, not the sup)."""
-        t = np.arange(SUP_NORM_GRID) * (2.0 * np.pi / SUP_NORM_GRID)
-        return float(np.abs(self.at_angle(t)).max(initial=0.0))
+        """Max of |f| over ``SUP_NORM_GRID`` uniform angles (an estimate, not the sup).
+
+        On the angles 2 pi j / M, e^{ikt} depends on k mod M only, so the
+        coefficients fold mod M and one inverse FFT gives every sample.
+        """
+        folded = np.zeros(SUP_NORM_GRID, dtype=np.complex128)
+        ks = np.array(list(self._coeffs), dtype=np.int64)
+        np.add.at(folded, ks % SUP_NORM_GRID, list(self._coeffs.values()))
+        return float(np.abs(np.fft.ifft(folded, norm="forward")).max())
 
 
 def apply_function(f: TrigPolynomial, t) -> np.ndarray:

@@ -5,10 +5,10 @@ Two path families are supported on s in [0, 1]:
 * linear       T_s = T_0 + s V, with both endpoints contractions;
 * multiplicative  T_s = e^{isA} T_0, with T_0 a contraction and A Hermitian.
 
-The derivative of a monomial along either path has an explicit sandwich-sum
-form; general symbols differentiate term by term.  An independent
-difference-quotient residual is provided as the oracle against which the
-closed forms are checked.
+The derivative of f(T_s) at s = 0 is read off one evaluation of f on the
+2x2 block operator [[T_0, Y], [0, T_0]], Y the velocity of the path at 0.
+An independent difference-quotient residual is provided as the oracle
+against which that derivative is checked.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .opcore import (
     as_operator,
     is_contraction,
     is_hermitian,
-    power_ladder,
     trace_norm,
 )
 
@@ -89,51 +88,28 @@ class PerturbationPath:
             return self.base + s * self.direction
         return self._rotation(s) @ self.base
 
-    def gateaux_monomial(self, r: int) -> np.ndarray:
-        """Derivative of T_s^r at s = 0 (adjoint powers for negative r).
-
-        Linear paths differentiate z^r only for r >= 0; the adjoint direction
-        is not differentiable holomorphically along T_0 + sV, so negative r
-        is refused there.
-        """
-        d = self.dim
-        out = np.zeros((d, d), dtype=np.complex128)
-        if r == 0:
-            return out
-        t0 = self.base
-        if self.kind == LINEAR:
-            if r < 0:
-                raise ValueError("linear-path derivative is undefined for negative powers")
-            pows = power_ladder(t0, r - 1)
-            v = self.direction
-            for j in range(r):
-                out += pows[r - j - 1] @ v @ pows[j]
-            return out
-        ia = 1j * self.direction
-        if r >= 1:
-            pows = power_ladder(t0, r)
-            for j in range(r):
-                out += pows[r - j - 1] @ ia @ pows[j + 1]
-            return out
-        q = -r
-        pows = power_ladder(t0.conj().T, q)
-        for j in range(q):
-            out -= pows[q - j] @ ia @ pows[j]
-        return out
-
     def gateaux(self, f: TrigPolynomial) -> np.ndarray:
-        """Derivative of f(T_s) at s = 0, term by term over the support."""
+        """Derivative of f(T_s) at s = 0, from one evaluation of f on a 2d x 2d block.
+
+        With Y the velocity of the path at 0 (V, resp. iA T_0), the powers of
+        B = [[T_0, Y], [0, T_0]] carry (d/ds) T_s^r in their upper-right block
+        and those of B* = [[T_0*, 0], [Y*, T_0*]] carry (d/ds) (T_s*)^r in their
+        lower-left block.  Linear paths support analytic f only: the adjoint
+        direction is not differentiable holomorphically along T_0 + sV.
+        """
         if self.kind == LINEAR and not f.analytic:
             raise ValueError("linear paths support analytic symbols only")
-        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for k, c in f:
-            if k == 0:
-                continue
-            out += c * self.gateaux_monomial(k)
-        return out
+        t0, d = self.base, self.dim
+        y = self.direction if self.kind == LINEAR else 1j * self.direction @ t0
+        fb = apply_function(f, np.block([[t0, y], [np.zeros_like(t0), t0]]))
+        return fb[:d, d:] + fb[d:, :d]
 
     def second_order_difference(self, f: TrigPolynomial) -> np.ndarray:
-        """f(T_1) - f(T_0) - (d/ds) f(T_s) |_{s=0}, as a matrix."""
+        """f(T_1) - f(T_0) - (d/ds) f(T_s) |_{s=0}, as a matrix.
+
+        f(T_0) is evaluated like f(T_1), not read off the block of
+        :meth:`gateaux`, so a path with T_1 = T_0 gives exactly zero.
+        """
         top = apply_function(f, self.at(1.0))
         bot = apply_function(f, self.base)
         return top - bot - self.gateaux(f)

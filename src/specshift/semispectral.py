@@ -117,14 +117,9 @@ def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        return np.stack([_solve_member(aj, bj) for aj, bj in zip(a, b)])
-
-
-def _solve_member(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return np.full_like(b, np.nan)
+        if a.ndim == 2:
+            return np.full_like(b, np.nan)
+        return np.stack([_solve_or_nan(aj, bj) for aj, bj in zip(a, b)])
 
 
 def _circle_gaps(ang: np.ndarray):

@@ -101,18 +101,17 @@ class StepFunction:
             [[0.0], np.cumsum(self.heights * np.exp(-1j * self.angles))]
         )
 
-    def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.angles, t, side="right")
-        out = self._prefix[idx]
+    def _lookup(self, prefix: np.ndarray, t):
+        # prefix sum over the jumps with theta_j <= t
+        out = prefix[np.searchsorted(self.angles, np.asarray(t, dtype=np.float64), side="right")]
         return out if out.ndim else complex(out)
+
+    def __call__(self, t):
+        return self._lookup(self._prefix, t)
 
     def rotated_prefix(self, t):
         """sum of h_j e^{-i theta_j} over jumps with theta_j <= t."""
-        t = np.asarray(t, dtype=np.float64)
-        idx = np.searchsorted(self.angles, t, side="right")
-        out = self._prefix_rot[idx]
-        return out if out.ndim else complex(out)
+        return self._lookup(self._prefix_rot, t)
 
     def time_fourier(self, k: int) -> complex:
         """Exact integral of e^{ikt} f(t) over [0, 2pi]."""
@@ -135,6 +134,11 @@ def _dilation_degree(max_power: int, degree: int | None) -> int:
     return max(degree if degree is not None else max_power + DEGREE_MARGIN, 1)
 
 
+def _path_points(path: PerturbationPath, nodes) -> np.ndarray:
+    # stack of T_0 followed by T_s at every node s
+    return np.stack([path.base] + [path.at(float(s)) for s in nodes])
+
+
 def shift_step_representation(
     path: PerturbationPath, max_power: int, degree: int | None = None
 ) -> StepFunction:
@@ -152,8 +156,7 @@ def shift_step_representation(
     """
     n = _dilation_degree(max_power, degree)
     nodes, weights = gauss_legendre_01((n + 2) // 2 if path.kind == LINEAR else S_NODES)
-    points = [path.base] + [path.at(float(s_i)) for s_i in nodes]
-    cdfs = semispectral_cdfs(np.stack(points), n)
+    cdfs = semispectral_cdfs(_path_points(path, nodes), n)
     signed = np.concatenate([[1.0], -weights])
     # Tr[direction @ J_j] for every jump block J_j
     heights = [
@@ -180,8 +183,7 @@ def eta_moments_linear(path: PerturbationPath, ms) -> dict[int, complex]:
     top = max(ms) + 1
     nodes, weights = gauss_legendre_01((top + 2) // 2)
     v = path.direction
-    points = np.stack([path.base] + [path.at(float(s_i)) for s_i in nodes])
-    ladder = power_ladder(points, top)
+    ladder = power_ladder(_path_points(path, nodes), top)
     traces = np.einsum("ab,ksba->ks", v, ladder[:, 1:] - ladder[:, :1])
     total = traces @ weights
     return {m: complex(total[m + 1] / (m + 1)) for m in ms}

@@ -17,6 +17,7 @@ from specshift import (
     trace_norm,
 )
 from specshift import sampling
+from specshift.opcore import SUP_NORM_GRID
 
 
 class TestNorms:
@@ -119,6 +120,27 @@ class TestTrigPolynomial:
     def test_sup_norm_estimate(self):
         f = TrigPolynomial({1: 1.0})
         assert f.sup_norm_estimate() == pytest.approx(1.0, abs=1e-12)
+
+    def test_sup_norm_of_empty_polynomial(self):
+        assert TrigPolynomial({}).sup_norm_estimate() == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 6))
+    def test_sup_norm_matches_grid_sum(self, seed, size):
+        # the folded inverse FFT against the direct sum over the same angles;
+        # a negative index and one with |k| >= SUP_NORM_GRID in every support,
+        # whose alias mod the grid is the same on both sides
+        rng = np.random.default_rng(seed)
+        wide = SUP_NORM_GRID + 64
+        beyond = int(rng.choice([-1, 1]) * rng.integers(SUP_NORM_GRID, wide))
+        ks = [-int(rng.integers(1, wide)), beyond] + rng.integers(-wide, wide + 1, size).tolist()
+        f = TrigPolynomial(dict(zip(ks, sampling.random_coefficients(rng, len(ks)))))
+        t = np.arange(SUP_NORM_GRID) * (2.0 * np.pi / SUP_NORM_GRID)
+        grid = np.zeros(t.shape, dtype=np.complex128)
+        for k, c in f:
+            grid += c * np.exp(1j * k * t)
+        sup = float(np.abs(grid).max(initial=0.0))
+        assert abs(f.sup_norm_estimate() - sup) <= 1e-12 * (1.0 + sup)
 
 
 class TestApplyFunction:

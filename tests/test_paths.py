@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from specshift import (
@@ -7,7 +8,9 @@ from specshift import (
     TrigPolynomial,
     apply_function,
     difference_quotient_residual,
+    hs_norm,
     monomial_bound_constant,
+    power_ladder,
 )
 from specshift import sampling
 
@@ -59,6 +62,30 @@ class TestEvaluation:
                 assert np.linalg.norm(path.at(s), 2) <= 1 + 1e-9
 
 
+def sandwich_gateaux(path: PerturbationPath, f: TrigPolynomial) -> np.ndarray:
+    # reference oracle: (d/ds) f(T_s) at 0 summed term by term, each power
+    # as a sandwich sum around the velocity (adjoint powers for k < 0)
+    t0 = path.base
+    out = np.zeros_like(t0)
+    for k, c in f:
+        if path.kind == "linear":
+            pows = power_ladder(t0, max(k - 1, 0))
+            v = path.direction
+            for j in range(k):
+                out += c * (pows[k - j - 1] @ v @ pows[j])
+        elif k >= 1:
+            pows = power_ladder(t0, k)
+            ia = 1j * path.direction
+            for j in range(k):
+                out += c * (pows[k - j - 1] @ ia @ pows[j + 1])
+        elif k < 0:
+            pows = power_ladder(t0.conj().T, -k)
+            ia = 1j * path.direction
+            for j in range(-k):
+                out -= c * (pows[-k - j] @ ia @ pows[j])
+    return out
+
+
 class TestGateauxMonomial:
     def test_r_zero_is_zero(self):
         rng = np.random.default_rng(3)
@@ -66,30 +93,35 @@ class TestGateauxMonomial:
             sampling.random_linear_path(rng, 3),
             sampling.random_multiplicative_path(rng, 3),
         ):
-            assert_allclose(path.gateaux_monomial(0), np.zeros((3, 3)))
+            assert_allclose(path.gateaux(TrigPolynomial({0: 1.0})), np.zeros((3, 3)))
 
     def test_linear_r_two_sandwich(self):
         rng = np.random.default_rng(4)
         path = sampling.random_linear_path(rng, 4)
         t0, v = path.base, path.direction
-        assert_allclose(path.gateaux_monomial(2), t0 @ v + v @ t0, atol=1e-14)
+        assert_allclose(
+            path.gateaux(TrigPolynomial({2: 1.0})), t0 @ v + v @ t0, atol=1e-14
+        )
 
     def test_linear_scalar_calculus_oracle(self):
         # d/ds (a + sV)^3 at 0 = 3 a^2 V = 3 * 0.25 * 0.25
         path = scalar_path(0.5, 0.25)
-        assert path.gateaux_monomial(3)[0, 0] == pytest.approx(3 * 0.5**2 * 0.25)
-        assert path.gateaux_monomial(3)[0, 0] == pytest.approx(0.1875)
+        cube = path.gateaux(TrigPolynomial({3: 1.0}))[0, 0]
+        assert cube == pytest.approx(3 * 0.5**2 * 0.25)
+        assert cube == pytest.approx(0.1875)
 
     def test_linear_negative_power_unsupported(self):
         path = scalar_path(0.5, 0.25)
         with pytest.raises(ValueError):
-            path.gateaux_monomial(-1)
+            path.gateaux(TrigPolynomial({-1: 1.0}))
 
     def test_mult_r_one(self):
         rng = np.random.default_rng(5)
         path = sampling.random_multiplicative_path(rng, 3)
         assert_allclose(
-            path.gateaux_monomial(1), 1j * path.direction @ path.base, atol=1e-14
+            path.gateaux(TrigPolynomial({1: 1.0})),
+            1j * path.direction @ path.base,
+            atol=1e-14,
         )
 
     @pytest.mark.parametrize("r", [-1, -2, -3, 2, 4])
@@ -104,7 +136,7 @@ class TestGateauxMonomial:
         f1 = apply_function(f, path.at(h))
         f2 = apply_function(f, path.at(2 * h))
         oracle = (-3 * f0 + 4 * f1 - f2) / (2 * h)
-        assert np.linalg.norm(oracle - path.gateaux_monomial(r)) < 1e-7
+        assert np.linalg.norm(oracle - path.gateaux(f)) < 1e-7
 
 
 class TestGateaux:
@@ -158,6 +190,30 @@ class TestGateaux:
             apply_function(f.derivative(), t0) @ v,
             atol=1e-12,
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 5),
+        kind=st.sampled_from(["linear", "multiplicative"]),
+    )
+    def test_block_evaluation_matches_sandwich_sums(self, seed, dim, kind):
+        # one evaluation of f on [[T_0, Y], [0, T_0]] against the term-by-term
+        # sandwich sums; a random support in [-6, 6], analytic on linear paths
+        rng = np.random.default_rng(seed)
+        if kind == "linear":
+            path, low = sampling.random_linear_path(rng, dim), 0
+        else:
+            path, low = sampling.random_multiplicative_path(rng, dim), -6
+        support = rng.choice(np.arange(low, 7), size=int(rng.integers(1, 6)), replace=False)
+        coeffs = sampling.random_coefficients(rng, len(support))
+        f = TrigPolynomial(dict(zip(support.tolist(), coeffs)))
+        oracle = sandwich_gateaux(path, f)
+        assert hs_norm(path.gateaux(f) - oracle) <= 1e-12 * (1.0 + hs_norm(oracle))
+        # and the second-order difference subtracts that derivative
+        expected = apply_function(f, path.at(1.0)) - apply_function(f, path.base) - oracle
+        gap = hs_norm(path.second_order_difference(f) - expected)
+        assert gap <= 1e-12 * (1.0 + hs_norm(expected))
 
 
 class TestDifferenceQuotient:

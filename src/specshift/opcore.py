@@ -269,14 +269,15 @@ def power_ladder(t, kmax: int) -> np.ndarray:
 
 
 def signed_powers(t, ks) -> np.ndarray:
-    """Stack of T^k for each k in ``ks``, the adjoint power (T*)^|k| for k < 0.
-
-    Built from two power ladders, one on T and one on T*.
-    """
-    t = np.asarray(t, dtype=np.complex128)
-    up = power_ladder(t, max(max(ks), 0))
-    down = power_ladder(t.conj().T, max(-min(ks), 0))
-    return np.stack([up[k] if k >= 0 else down[-k] for k in ks])
+    """Stack of T^k for each k in ``ks``, the adjoint power (T*)^|k| for k < 0,
+    of a matrix or of a stack of matrices (a new leading axis runs over ``ks``);
+    built from a power ladder on T and, when some k < 0, one on T*."""
+    t, ks = np.asarray(t, dtype=np.complex128), np.asarray(ks, dtype=np.int64)
+    up = power_ladder(t, max(ks.max(), 0))
+    if ks.min() >= 0:
+        return up[ks]
+    down = power_ladder(t.conj().swapaxes(-1, -2), -ks.min())
+    return np.concatenate([down[:0:-1], up])[ks - ks.min()]
 
 
 def hermitian_exp(a, s: float) -> np.ndarray:

@@ -59,7 +59,8 @@ class PerturbationPath:
         self.kind = kind
         self.base = base
         self.direction = direction
-        self._dir_eig = None
+        # e^{isA} at every s comes from this one eigendecomposition of A
+        self._dir_eig = np.linalg.eigh(direction) if kind == MULTIPLICATIVE else None
 
     @classmethod
     def linear(cls, base, direction) -> "PerturbationPath":
@@ -73,20 +74,17 @@ class PerturbationPath:
     def dim(self) -> int:
         return self.base.shape[0]
 
-    def _rotation(self, s: float) -> np.ndarray:
-        # e^{isA} with the eigendecomposition of A computed once and reused.
-        if self._dir_eig is None:
-            self._dir_eig = np.linalg.eigh(self.direction)
-        w, q = self._dir_eig
-        return (q * np.exp(1j * s * w)) @ q.conj().T
-
-    def at(self, s: float) -> np.ndarray:
-        """Evaluate the path at s in [0, 1]."""
-        if not 0.0 <= s <= 1.0:
+    def at(self, s) -> np.ndarray:
+        """Evaluate the path at s in [0, 1], or at each s of a 1-d array (a
+        stack); multiplicative points share one cached eigh of A."""
+        s = np.asarray(s, dtype=np.float64)
+        if not ((0.0 <= s) & (s <= 1.0)).all():
             raise ValueError(f"path parameter {s} outside [0, 1]")
         if self.kind == LINEAR:
-            return self.base + s * self.direction
-        return self._rotation(s) @ self.base
+            return self.base + s[..., None, None] * self.direction
+        w, q = self._dir_eig
+        phase = np.exp(1j * np.multiply.outer(s, w))[..., None, :]
+        return ((q * phase) @ q.conj().T) @ self.base
 
     def gateaux(self, f: TrigPolynomial) -> np.ndarray:
         """Derivative of f(T_s) at s = 0, from one evaluation of f on a 2d x 2d block.

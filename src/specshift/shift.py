@@ -20,14 +20,13 @@ unique up to an additive constant; its nonzero Fourier modes are
 
     d_r = 1/(i r) * int_0^1 Tr[ A (T_s^r - T_0^r) ] ds,   r != 0,
 
-with adjoint powers for negative r, integrated adaptively (the integrand is
-analytic but not polynomial in s).  The constant mode is fixed to zero by
-convention.
+with adjoint powers for negative r, integrated by a Gauss-Legendre rule whose
+node count an a priori bound sets (the integrand is entire, not polynomial,
+in s).  The constant mode is fixed to zero by convention.
 
 The numbers that carry the reduction to finite dimensions are module
-constants, not arguments: the dilation degree margin ``DEGREE_MARGIN``,
-``S_NODES`` Gauss-Legendre nodes for the pointwise s-average on multiplicative
-paths, and ``QUAD_TOL`` and ``QUAD_MAX_DEPTH`` for the adaptive rule.
+constants, not arguments: the dilation degree margin ``DEGREE_MARGIN`` and
+``QUAD_TOL``, the error target that sets the multiplicative node counts.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ import time
 
 import numpy as np
 
-from .opcore import TrigPolynomial, hs_norm, power_ladder, signed_powers
+from .opcore import TrigPolynomial, hs_norm, signed_powers
 from .paths import LINEAR, MULTIPLICATIVE, PerturbationPath
-from .quadrature import QuadratureError, adaptive_gk15, gauss_legendre_01
+from .quadrature import gauss_legendre_01
 from .report import VerificationReport
 from .semispectral import semispectral_cdfs
 from . import sampling
@@ -67,10 +66,9 @@ BOUND_SLACK = 1e-6        # quotient-bound cushion, in units of ||dir||_2^2
 # and of campaigns.
 DEFAULT_GRID = 4096
 
-S_NODES = 32              # Gauss-Legendre nodes of the multiplicative pointwise s-average
 DEGREE_MARGIN = 2         # dilation degree above the highest integrated power
-QUAD_TOL = 1e-10          # adaptive GK15 tolerance on multiplicative paths
-QUAD_MAX_DEPTH = 12       # and its bisection depth
+QUAD_TOL = 1e-10          # error target of the Gauss rule on multiplicative paths
+_RHO = 1.0 + np.geomspace(1e-2, 1e3, 200)  # Bernstein-ellipse parameters it tries
 
 
 class PipelineError(RuntimeError):
@@ -136,7 +134,32 @@ def _dilation_degree(max_power: int, degree: int | None) -> int:
 
 def _path_points(path: PerturbationPath, nodes) -> np.ndarray:
     # stack of T_0 followed by T_s at every node s
-    return np.stack([path.base] + [path.at(float(s)) for s in nodes])
+    return np.concatenate([path.base[None], path.at(nodes)])
+
+
+def _trace_integrals(path: PerturbationPath, count: int, ks) -> np.ndarray:
+    # int_0^1 Tr[V (T_s^k - T_0^k)] ds for each k of ks (adjoint powers for
+    # k < 0) by the count-node Gauss-Legendre rule, over one stack of points
+    nodes, weights = gauss_legendre_01(count)
+    powers = signed_powers(_path_points(path, nodes), ks)
+    return np.einsum("ab,ksba->ks", path.direction, powers[:, 1:] - powers[:, :1]) @ weights
+
+
+def _mult_node_count(path: PerturbationPath, top: int) -> int:
+    """Least n for which n Gauss-Legendre nodes integrate Tr[A (T_s^r - T_0^r)],
+    |r| <= top, to ``QUAD_TOL``: on the Bernstein ellipse E_rho of [0, 1],
+    |Im s| <= (rho - 1/rho)/4, so the entire integrand is at most
+    M = ||A||_1 (e^{top ||A|| (rho - 1/rho)/4} + 1), and the error is at most
+    1/2 * 64 M / (15 (rho^2 - 1) rho^(2(n-1))) (Trefethen, ATAP Thm 19.3) at
+    the best rho of ``_RHO``.  The norms of A come from its cached eigh."""
+    w = np.abs(path._dir_eig[0])
+    norm1 = w.sum()
+    if norm1 == 0.0:
+        return 1
+    growth = top * w.max() * (_RHO - 1.0 / _RHO) / 4.0
+    log_bound = np.log(32.0 / 15.0 * norm1 / QUAD_TOL) + np.logaddexp(growth, 0.0)
+    extra = (log_bound - np.log(_RHO**2 - 1.0)) / (2.0 * np.log(_RHO))
+    return 1 + int(max(np.ceil(extra.min()), 0.0))
 
 
 def shift_step_representation(
@@ -152,10 +175,12 @@ def shift_step_representation(
     bounds the moments c_m, m < N, that are faithful to the path.  On a
     linear path their s-integrands are polynomials of degree m + 1 <= N, so
     (N + 2) // 2 nodes integrate them exactly; a multiplicative path's
-    integrand is not polynomial and takes ``S_NODES`` nodes.
+    integrand is entire, and its powers |r| <= N take the nodes of
+    :func:`_mult_node_count`.
     """
     n = _dilation_degree(max_power, degree)
-    nodes, weights = gauss_legendre_01((n + 2) // 2 if path.kind == LINEAR else S_NODES)
+    count = (n + 2) // 2 if path.kind == LINEAR else _mult_node_count(path, n)
+    nodes, weights = gauss_legendre_01(count)
     cdfs = semispectral_cdfs(_path_points(path, nodes), n)
     signed = np.concatenate([[1.0], -weights])
     # Tr[direction @ J_j] for every jump block J_j
@@ -181,11 +206,7 @@ def eta_moments_linear(path: PerturbationPath, ms) -> dict[int, complex]:
     if not ms:
         return {}
     top = max(ms) + 1
-    nodes, weights = gauss_legendre_01((top + 2) // 2)
-    v = path.direction
-    ladder = power_ladder(_path_points(path, nodes), top)
-    traces = np.einsum("ab,ksba->ks", v, ladder[:, 1:] - ladder[:, :1])
-    total = traces @ weights
+    total = _trace_integrals(path, (top + 2) // 2, range(top + 1))
     return {m: complex(total[m + 1] / (m + 1)) for m in ms}
 
 
@@ -195,25 +216,14 @@ def eta_moment_linear(path: PerturbationPath, m: int) -> complex:
     return eta_moments_linear(path, [m])[m]
 
 
-def _mult_fourier_integrand(path: PerturbationPath, rs: list[int]):
-    # Tr[A (T_s^r - T_0^r)] for every r, adjoint powers for r < 0
-    a = path.direction
-    base = signed_powers(path.base, rs)
-
-    def f(s: float) -> np.ndarray:
-        return np.einsum("ab,rba->r", a, signed_powers(path.at(s), rs) - base)
-
-    return f
-
-
 def eta_tilde_moments_mult(path: PerturbationPath, rs) -> dict[int, complex]:
     """Fourier modes d_r, r != 0, of the multiplicative shift function.
 
-    All requested modes are integrated in one adaptive pass, to ``QUAD_TOL``
-    within ``QUAD_MAX_DEPTH`` bisections, so the path exponentials are
-    shared.  Quadrature failure propagates as
-    :class:`~specshift.quadrature.QuadratureError` with the achieved
-    estimate attached.
+    All requested modes share one Gauss-Legendre rule, whose node count
+    the a priori bound of :func:`_mult_node_count` sets for the largest |r|
+    so that every mode meets ``QUAD_TOL``.  The node points come as one
+    stack from the path's cached eigendecomposition, and one stacked ladder
+    up and one down give every power.
     """
     if path.kind != MULTIPLICATIVE:
         raise ValueError("these Fourier modes belong to multiplicative paths")
@@ -222,8 +232,8 @@ def eta_tilde_moments_mult(path: PerturbationPath, rs) -> dict[int, complex]:
         raise ValueError("the constant mode is not determined; it is fixed to 0")
     if not rs:
         return {}
-    value, _ = adaptive_gk15(_mult_fourier_integrand(path, rs), 0.0, 1.0, QUAD_TOL, QUAD_MAX_DEPTH)
-    return {r: complex(val / (1j * r)) for r, val in zip(rs, value)}
+    total = _trace_integrals(path, _mult_node_count(path, max(abs(r) for r in rs)), rs)
+    return {r: complex(val / (1j * r)) for r, val in zip(rs, total)}
 
 
 def verify_trace_formula_linear(
@@ -266,35 +276,25 @@ def verify_trace_formula_mult(
     """Check the multiplicative-path trace identity for a trig polynomial.
 
     The constant coefficient is irrelevant to both sides.  The residual
-    passes within ``TRACE_TOL_MULT`` on the scale 1 + |lhs|.  Quadrature
-    failure is recorded in the report rather than raised.
+    passes within ``TRACE_TOL_MULT`` on the scale 1 + |lhs|.
     """
     start = time.perf_counter()
     lhs = path.second_order_trace(p)
     rs = [r for r, _ in p if r != 0]
-    extras: dict = {}
-    try:
-        modes = eta_tilde_moments_mult(path, rs)
-        rhs = sum(p.coeff(r) * (-(r * r)) * modes[r] for r in rs)
-        quad_ok = True
-    except QuadratureError as exc:
-        rhs = complex(np.nan)
-        quad_ok = False
-        extras["quadrature_error"] = str(exc)
-        extras["quadrature_estimate"] = exc.estimate
-    residual = abs(lhs - rhs) if quad_ok else float("inf")
+    modes = eta_tilde_moments_mult(path, rs)
+    rhs = sum(p.coeff(r) * (-(r * r)) * modes[r] for r in rs)
+    residual = abs(lhs - rhs)
     return VerificationReport(
         kind="mult",
         lhs=lhs,
         rhs=rhs,
         residual=residual,
         tol=TRACE_TOL_MULT,
-        passed=quad_ok and residual <= TRACE_TOL_MULT * (1.0 + abs(lhs)),
+        passed=residual <= TRACE_TOL_MULT * (1.0 + abs(lhs)),
         dim=path.dim,
         degree=max((abs(r) for r, _ in p), default=0),
         seed=seed,
         runtime=time.perf_counter() - start,
-        extras=extras,
     )
 
 

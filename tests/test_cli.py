@@ -12,8 +12,7 @@ from specshift.cli import (
     run_campaign,
     run_diagnose,
 )
-from specshift.quadrature import QuadratureError
-from specshift.report import CSV_COLUMNS
+from specshift.report import CSV_COLUMNS, VerificationReport, write_csv, write_reports_json
 
 
 class TestConfig:
@@ -336,13 +335,21 @@ class TestReportCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["kinds"]["linear"]["failed"] == 0
 
-    def test_quadrature_failure_round_trips_as_strict_json(self, tmp_path, monkeypatch, capsys):
-        def fail(*args, **kwargs):
-            raise QuadratureError("forced failure", None, float("inf"))
-
-        monkeypatch.setattr(shift, "adaptive_gk15", fail)
+    def test_non_finite_values_round_trip_as_strict_json(self, tmp_path, capsys):
+        # a NaN rhs and an inf residual reach reports.json as null, summary.csv
+        # as nan/inf, and the report command counts them as fails
+        reports = [
+            VerificationReport(
+                kind="mult", lhs=1.5 + 0.5j, rhs=complex(np.nan), residual=float("inf"),
+                tol=shift.TRACE_TOL_MULT, passed=False, dim=2, degree=3, seed=i,
+                extras={"estimate": float("inf")},
+            )
+            for i in range(2)
+        ]
         out = tmp_path / "o"
-        assert main(["verify", "--kind", "mult", "--trials", "2", "--out", str(out)]) == 1
+        out.mkdir()
+        write_reports_json(out / "reports.json", reports)
+        write_csv(out / "summary.csv", reports)
 
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
@@ -351,10 +358,12 @@ class TestReportCommand:
         assert all(e["verdict"] == "fail" for e in entries)
         assert all(e["residual"] is None for e in entries)
         assert all(e["rhs"]["re"] is None for e in entries)
-        assert all(e["extras"]["quadrature_estimate"] is None for e in entries)
+        assert all(e["lhs"] == {"re": 1.5, "im": 0.5} for e in entries)
+        assert all(e["extras"]["estimate"] is None for e in entries)
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["residual"] for r in rows] == ["inf", "inf"]
+        assert [r["rhs_re"] for r in rows] == ["nan", "nan"]
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 1
         printed = capsys.readouterr()

@@ -257,3 +257,13 @@ class TestPowerLadder:
         for got, k in zip(stack, ks):
             want = np.linalg.matrix_power(t if k >= 0 else t.conj().T, abs(k))
             assert_allclose(got, want, atol=1e-13)
+
+    @pytest.mark.parametrize("ks", [[3, -2, 0, 1, -1], [-3, -1], [2, 0, 2]])
+    def test_signed_powers_of_a_stack(self, ks):
+        # a stack gives, member by member, the powers of each matrix alone
+        rng = np.random.default_rng(15)
+        stack = np.stack([sampling.random_contraction(rng, 3) for _ in range(4)])
+        got = signed_powers(stack, ks)
+        assert got.shape == (len(ks), 4, 3, 3)
+        for j, t in enumerate(stack):
+            assert_allclose(got[:, j], signed_powers(t, ks), rtol=0, atol=1e-14)

@@ -40,9 +40,21 @@ class TestEvaluation:
 
     def test_domain_error_outside_unit_interval(self):
         path = scalar_path(0.0, 0.5)
-        for s in (-0.1, 1.1):
+        for s in (-0.1, 1.1, np.array([0.5, 1.1])):
             with pytest.raises(ValueError):
                 path.at(s)
+
+    @pytest.mark.parametrize("kind", ["linear", "multiplicative"])
+    def test_stack_matches_pointwise(self, kind):
+        # an array of s gives the stack of the pointwise values
+        rng = np.random.default_rng(3)
+        make = sampling.random_linear_path if kind == "linear" else sampling.random_multiplicative_path
+        path = make(rng, 4)
+        s = np.array([0.0, 0.3, 0.75, 1.0])
+        stack = path.at(s)
+        assert stack.shape == (4, 4, 4)
+        for value, point in zip(s, stack):
+            assert_allclose(point, path.at(float(value)), rtol=0, atol=1e-14)
 
     def test_endpoint_validation(self):
         with pytest.raises(ValueError):

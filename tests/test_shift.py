@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,6 @@ from scipy.integrate import quad
 
 from specshift import (
     PerturbationPath,
-    QuadratureError,
     RealLineShift,
     StepFunction,
     TrigPolynomial,
@@ -20,7 +21,7 @@ from specshift import (
     verify_trace_formula_linear,
     verify_trace_formula_mult,
 )
-from specshift import sampling, shift
+from specshift import cli, quadrature, sampling, shift
 from specshift.cayley import cayley_dissipative, cayley_sa
 
 
@@ -184,7 +185,8 @@ class TestPointwiseLinear:
         assert gap > 1e-9
 
     def test_node_count_follows_the_path(self, monkeypatch):
-        # linear paths take (N + 2) // 2 nodes; multiplicative ones S_NODES
+        # linear paths take (N + 2) // 2 nodes; multiplicative ones the a
+        # priori count for powers up to N
         counts = []
         real = shift.gauss_legendre_01
 
@@ -196,8 +198,9 @@ class TestPointwiseLinear:
         rng = np.random.default_rng(9)
         for n in (1, 4, 7, 36):
             shift_step_representation(sampling.random_linear_path(rng, 2), max_power=n, degree=n)
-        shift_step_representation(sampling.random_multiplicative_path(rng, 2), max_power=3)
-        assert counts == [1, 3, 4, 19, shift.S_NODES]
+        mult = sampling.random_multiplicative_path(rng, 2)
+        shift_step_representation(mult, max_power=3)
+        assert counts == [1, 3, 4, 19, shift._mult_node_count(mult, 5)]
 
 
 class TestMultiplicativeMoments:
@@ -250,18 +253,9 @@ class TestMultiplicativeMoments:
             for r in (1, 2, 3):
                 assert abs(modes[-r] - np.conj(modes[r])) < 1e-9
 
-    def test_quadrature_failure_carries_estimate(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        path = sampling.random_multiplicative_path(rng, 3)
-        monkeypatch.setattr(shift, "QUAD_TOL", 1e-16)
-        monkeypatch.setattr(shift, "QUAD_MAX_DEPTH", 0)
-        with pytest.raises(QuadratureError) as info:
-            eta_tilde_moments_mult(path, [2])
-        assert info.value.estimate > 0
-
     def test_multiplicative_route_agreement(self):
         # time-Fourier data of the dilation-built pointwise representation
-        # match the adaptive moment route on multiplicative paths
+        # match the Gauss moment route on multiplicative paths
         rng = np.random.default_rng(33)
         for _ in range(4):
             path = sampling.random_multiplicative_path(rng, int(rng.integers(2, 6)))
@@ -269,6 +263,95 @@ class TestMultiplicativeMoments:
             modes = eta_tilde_moments_mult(path, [-3, -2, -1, 1, 2, 3])
             for r in (-3, -2, -1, 1, 2, 3):
                 assert abs(step.time_fourier(r) - modes[r]) <= 1e-9 * (1.0 + abs(modes[r]))
+
+
+def gauss_modes(path: PerturbationPath, rs, count: int) -> dict[int, complex]:
+    """Oracle for the modes d_r: a ``count``-node Gauss-Legendre rule, one
+    ``path.at`` per node and ``np.linalg.matrix_power`` for every power."""
+    nodes, weights = gauss_legendre_01(count)
+    points = np.stack([path.at(float(s)) for s in nodes])
+    out = {}
+    for r in rs:
+        flip = (lambda m: m) if r > 0 else (lambda m: m.conj().swapaxes(-1, -2))
+        diff = np.linalg.matrix_power(flip(points), abs(r)) - np.linalg.matrix_power(
+            flip(path.base), abs(r)
+        )
+        out[r] = complex(np.einsum("ab,kba->k", path.direction, diff) @ weights / (1j * r))
+    return out
+
+
+class TestMultiplicativeGaussRule:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 6),
+        top=st.integers(1, 36),
+        norm=st.one_of(st.just(0.0), st.floats(1e-6, np.pi)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_every_mode_meets_the_target(self, dim, top, norm, seed):
+        rng = np.random.default_rng(seed)
+        h = sampling.complex_gaussian(rng, dim)
+        h = h + h.conj().T
+        a = norm * h / np.linalg.norm(h, 2) if norm else np.zeros((dim, dim))
+        path = PerturbationPath.multiplicative(sampling.random_contraction(rng, dim), a)
+        rs = [r for r in range(-top, top + 1) if r]
+        n = shift._mult_node_count(path, top)
+        got = eta_tilde_moments_mult(path, rs)
+        if not norm:
+            assert n == 1 and all(got[r] == 0 for r in rs)
+            return
+        ref = gauss_modes(path, rs, 2 * n + 40)
+        assert max(abs(got[r] - ref[r]) for r in rs) <= shift.QUAD_TOL
+
+    def test_two_nodes_fewer_miss_the_target(self, monkeypatch):
+        # near-tight on a recorded campaign path (seed 0, trial 9): n nodes
+        # meet QUAD_TOL and n - 2 miss it
+        cfg = cli.CampaignConfig(kind="mult", seed=0)
+        rng = cli._trial_rng(0, 9)
+        path = cli._sample_path(rng, "mult", cli._pick(rng, cfg.dims), False)
+        deg = max(cli._pick(rng, cfg.degrees), 1)
+        rs = [r for r in range(-deg, deg + 1) if r]
+        n = shift._mult_node_count(path, deg)
+        ref = gauss_modes(path, rs, 2 * n + 40)
+
+        def gap(count: int) -> float:
+            monkeypatch.setattr(shift, "_mult_node_count", lambda path, top: count)
+            got = eta_tilde_moments_mult(path, rs)
+            return max(abs(got[r] - ref[r]) for r in rs)
+
+        assert gap(n) <= shift.QUAD_TOL < gap(n - 2)
+
+    def test_campaign_skips_gk15_and_decomposes_each_generator_once(self, tmp_path, monkeypatch):
+        # every specshift module that holds adaptive_gk15 gets the spy
+        gk15_calls = []
+        gk15 = quadrature.adaptive_gk15
+        for module in [m for n, m in sys.modules.items() if n.startswith("specshift")]:
+            for attr, value in list(vars(module).items()):
+                if value is gk15:
+                    monkeypatch.setattr(module, attr, lambda *a, **k: gk15_calls.append(a))
+        factored = []
+        eigh = np.linalg.eigh
+
+        def spy_eigh(m, *args, **kwargs):
+            factored.append(m)
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        checked = []
+        verify = cli.verify_trace_formula_mult
+
+        def spy_verify(path, *args, **kwargs):
+            checked.append(path)
+            return verify(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_trace_formula_mult", spy_verify)
+        status, reports = cli.run_campaign(
+            cli.CampaignConfig(kind="mult", trials=6, seed=3, out=str(tmp_path))
+        )
+        assert status == 0 and len(reports) == 6
+        assert gk15_calls == []
+        assert len(factored) == len(checked) == 6
+        assert all(m is path.direction for m, path in zip(factored, checked))
 
 
 class TestTraceFormulaLinear:
@@ -344,15 +427,6 @@ class TestTraceFormulaMult:
             p = sampling.random_trig_polynomial(rng, int(rng.integers(1, 6)))
             rep = verify_trace_formula_mult(path, p)
             assert rep.passed, rep.residual
-
-    def test_quadrature_failure_becomes_verdict(self, monkeypatch):
-        rng = np.random.default_rng(18)
-        path = sampling.random_multiplicative_path(rng, 2)
-        monkeypatch.setattr(shift, "QUAD_TOL", 1e-17)
-        monkeypatch.setattr(shift, "QUAD_MAX_DEPTH", 1)
-        rep = verify_trace_formula_mult(path, TrigPolynomial({2: 1.0}))
-        assert not rep.passed
-        assert "quadrature_error" in rep.extras
 
 
 class TestQuotientBound:

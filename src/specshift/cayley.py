@@ -160,22 +160,17 @@ def _verify_polynomial(
     line = gamma_pipeline(path, grid=grid, max_power=max(phi.max_index, 1))
     rhs_a = line.pairing_second_derivative(phi)
     rhs_b = line.pairing_realline(mobius_polynomial_flux(phi))
-    res_a = abs(lhs - rhs_a)
     res_ab = abs(rhs_a - rhs_b)
-    passed = res_a <= CIRCLE_TOL * (1.0 + abs(lhs)) and res_ab <= REAL_LINE_TOL * (
-        1.0 + abs(rhs_a)
-    )
-    return VerificationReport(
-        kind=kind,
-        lhs=lhs,
-        rhs=rhs_a,
-        residual=res_a,
-        tol=CIRCLE_TOL,
-        passed=passed,
+    return VerificationReport.judge(
+        kind,
+        lhs,
+        rhs_a,
+        CIRCLE_TOL,
+        start,
+        also=res_ab <= REAL_LINE_TOL * (1.0 + abs(rhs_a)),
         dim=path.dim,
         degree=phi.max_index,
         seed=seed,
-        runtime=time.perf_counter() - start,
         extras={
             "rhs_realline": rhs_b,
             "residual_circle_vs_realline": res_ab,
@@ -268,7 +263,7 @@ def verify_resolvent_formula(
     rz = np.linalg.inv(h - z * eye)
     r0z = np.linalg.inv(h0 - z * eye)
     m = np.linalg.inv(h + 1j * eye) - np.linalg.inv(h0 + 1j * eye)
-    x = (1j * eye + h0) @ np.linalg.inv(h0 - z * eye)
+    x = (1j * eye + h0) @ r0z
     lhs = complex(np.trace(rz - r0z - x @ m @ x))
     if line is None:
         line = resolvent_pipeline(
@@ -281,18 +276,14 @@ def verify_resolvent_formula(
         lam = np.asarray(lam, dtype=np.complex128)
         return -(1.0 + lam * lam) / (lam - z) ** 2
 
-    rhs = line.pairing_realline(flux)
-    residual = abs(lhs - rhs)
-    return VerificationReport(
-        kind="cayley_resolvent",
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tol=RESOLVENT_TOL,
-        passed=residual <= RESOLVENT_TOL * (1.0 + abs(lhs)),
+    return VerificationReport.judge(
+        "cayley_resolvent",
+        lhs,
+        line.pairing_realline(flux),
+        RESOLVENT_TOL,
+        start,
         dim=pair.dim,
         degree=line.degree,
         seed=seed,
-        runtime=time.perf_counter() - start,
         extras={"z": z, "tau_abs": abs(tau), "grid": line.grid},
     )

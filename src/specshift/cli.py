@@ -29,7 +29,7 @@ from .cayley import (
 from .dilation import hs_difference_schaffer, n_dilation, schaffer_window
 from .opcore import TrigPolynomial, hs_norm, is_unitary, power_ladder
 from .paths import LINEAR, PerturbationPath
-from .report import VerificationReport, _num, write_csv, write_reports_json
+from .report import VerificationReport, write_csv, write_json, write_reports_json, write_table
 from .shift import (
     DEFAULT_GRID,
     TRACE_TOL_LINEAR,
@@ -110,8 +110,7 @@ class CampaignConfig:
     def from_sources(cls, args: argparse.Namespace) -> "CampaignConfig":
         cfg = cls()
         if getattr(args, "config", None):
-            with open(args.config) as fh:
-                data = json.load(fh)
+            data = json.loads(Path(args.config).read_text())
             if not isinstance(data, dict):
                 raise ValueError("a config file holds one JSON object")
             for key, value in data.items():
@@ -303,9 +302,7 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[VerificationReport]]:
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "summary.csv", reports)
     write_reports_json(out / "reports.json", reports)
-    with open(out / "config.json", "w") as fh:
-        json.dump(asdict(cfg), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "config.json", asdict(cfg))
     status = 0 if all(r.passed for r in reports) else 1
     return status, reports
 
@@ -347,7 +344,7 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
         step = shift_step_representation(path, max_power=max_deg)
         t = np.linspace(0.0, 2.0 * np.pi, cfg.grid)
         vals = step(t)
-        header = "t,re_eta,im_eta"
+        header = ("t", "re_eta", "im_eta")
         cols = (t, vals.real, vals.imag)
     else:
         path = _sample_pair(rng, cfg.kind, dim, cfg.zero_direction).circle_path()
@@ -356,17 +353,13 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
         t = (np.arange(cfg.grid) + 0.5) * (2.0 * np.pi / cfg.grid)
         lam = np.tan(0.5 * t)
         vals = 0.5 * line.eta_tilde(t)
-        header = "lambda,re_xi,im_xi"
+        header = ("lambda", "re_xi", "im_xi")
         cols = (lam, vals.real, vals.imag)
     _check_step(cfg, path, step, max_deg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    path_file = out / "shift_samples.csv"
-    with open(path_file, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_num(x) for x in row) + "\n")
-    return path_file
+    write_table(out / "shift_samples.csv", header, zip(*cols))
+    return out / "shift_samples.csv"
 
 
 def run_diagnose(cfg: CampaignConfig) -> Path:
@@ -378,17 +371,9 @@ def run_diagnose(cfg: CampaignConfig) -> Path:
     gaps = truncation_gap(seq, path, TrigPolynomial({max(cfg.degrees): 1.0}))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    table = out / "truncation_diagnostics.csv"
-    with open(table, "w") as fh:
-        fh.write(",".join(DIAGNOSTIC_FIELDS) + ",gap\n")
-        for row, gap in zip(rows, gaps):
-            fh.write(
-                ",".join(_num(row[k]) for k in DIAGNOSTIC_FIELDS)
-                + ","
-                + _num(gap["gap"])
-                + "\n"
-            )
-    return table
+    table = [[row[k] for k in DIAGNOSTIC_FIELDS] + [gap["gap"]] for row, gap in zip(rows, gaps)]
+    write_table(out / "truncation_diagnostics.csv", (*DIAGNOSTIC_FIELDS, "gap"), table)
+    return out / "truncation_diagnostics.csv"
 
 
 def run_report(cfg: CampaignConfig) -> int:
@@ -400,8 +385,7 @@ def run_report(cfg: CampaignConfig) -> int:
         return 2
     by_kind: dict[str, dict] = {}
     try:
-        with open(reports_file) as fh:
-            entries = json.load(fh)
+        entries = json.loads(reports_file.read_text())
         for entry in entries:
             slot = by_kind.setdefault(
                 entry["kind"], {"count": 0, "failed": 0, "max_residual": 0.0}
@@ -414,10 +398,7 @@ def run_report(cfg: CampaignConfig) -> int:
     except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
         print(f"malformed {reports_file}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    summary = {"kinds": by_kind, "total": len(entries)}
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", {"kinds": by_kind, "total": len(entries)})
     for kind, slot in sorted(by_kind.items()):
         print(
             f"{kind}: {slot['count'] - slot['failed']}/{slot['count']} pass, "

@@ -1,14 +1,23 @@
-"""Structured verification records and their JSON/CSV serialization."""
+"""Structured verification records, the relative verdict rule, and every
+output writer: CSV tables and strict JSON."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-__all__ = ["VerificationReport", "CSV_COLUMNS", "write_csv", "write_reports_json"]
+__all__ = [
+    "VerificationReport",
+    "CSV_COLUMNS",
+    "write_table",
+    "write_json",
+    "write_csv",
+    "write_reports_json",
+]
 
 CSV_COLUMNS = (
     "seed",
@@ -44,6 +53,18 @@ class VerificationReport:
     seed: int | None = None
     runtime: float = 0.0
     extras: dict[str, Any] = field(default_factory=dict)
+
+    @classmethod
+    def judge(
+        cls, kind: str, lhs, rhs, tol: float, start: float, also: bool = True, **fields
+    ) -> "VerificationReport":
+        """Report of a trace identity lhs = rhs: it passes when
+        |lhs - rhs| <= tol (1 + |lhs|) and ``also`` holds; the runtime
+        counts from the ``time.perf_counter()`` reading ``start``."""
+        residual = abs(lhs - rhs)
+        passed = residual <= tol * (1.0 + abs(lhs)) and also
+        runtime = time.perf_counter() - start
+        return cls(kind, lhs, rhs, residual, tol, passed, runtime=runtime, **fields)
 
     @property
     def verdict(self) -> str:
@@ -90,15 +111,25 @@ class VerificationReport:
         }
 
 
-def write_csv(path, reports: Iterable[VerificationReport]) -> None:
-    with open(path, "w", newline="\n") as fh:
+def write_table(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """CSV with a header line; a cell that is not a string is a number, written
+    to 17 significant digits, so tables are byte-stable."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rep in reports:
-            writer.writerow(rep.csv_row())
+        writer.writerow(header)
+        writer.writerows([x if isinstance(x, str) else _num(x) for x in row] for row in rows)
+
+
+def write_json(path, data) -> None:
+    """Strict JSON (a non-finite number raises), indent 1, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def write_csv(path, reports: Iterable[VerificationReport]) -> None:
+    write_table(path, CSV_COLUMNS, (rep.csv_row() for rep in reports))
 
 
 def write_reports_json(path, reports: Iterable[VerificationReport]) -> None:
-    with open(path, "w") as fh:
-        json.dump([rep.to_dict() for rep in reports], fh, indent=1, allow_nan=False)
-        fh.write("\n")
+    write_json(path, [rep.to_dict() for rep in reports])

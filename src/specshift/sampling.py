@@ -87,9 +87,9 @@ def random_dissipative(rng: np.random.Generator, dim: int) -> np.ndarray:
     raise RuntimeError("failed to sample a well-separated dissipative matrix")
 
 
-def random_analytic_polynomial(rng: np.random.Generator, max_deg: int, min_deg: int = 0):
-    coeffs = random_coefficients(rng, max_deg - min_deg + 1)
-    return TrigPolynomial({k + min_deg: c for k, c in enumerate(coeffs)})
+def random_analytic_polynomial(rng: np.random.Generator, max_deg: int):
+    coeffs = random_coefficients(rng, max_deg + 1)
+    return TrigPolynomial(dict(enumerate(coeffs)))
 
 
 def random_trig_polynomial(rng: np.random.Generator, max_abs: int):

@@ -255,18 +255,8 @@ def verify_trace_formula_linear(
     for r, c in p:
         if r >= 2:
             rhs += c * r * (r - 1) * moments[r - 2]
-    residual = abs(lhs - rhs)
-    return VerificationReport(
-        kind="linear",
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tol=TRACE_TOL_LINEAR,
-        passed=residual <= TRACE_TOL_LINEAR * (1.0 + abs(lhs)),
-        dim=path.dim,
-        degree=p.max_index,
-        seed=seed,
-        runtime=time.perf_counter() - start,
+    return VerificationReport.judge(
+        "linear", lhs, rhs, TRACE_TOL_LINEAR, start, dim=path.dim, degree=p.max_index, seed=seed
     )
 
 
@@ -283,18 +273,9 @@ def verify_trace_formula_mult(
     rs = [r for r, _ in p if r != 0]
     modes = eta_tilde_moments_mult(path, rs)
     rhs = sum(p.coeff(r) * (-(r * r)) * modes[r] for r in rs)
-    residual = abs(lhs - rhs)
-    return VerificationReport(
-        kind="mult",
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        tol=TRACE_TOL_MULT,
-        passed=residual <= TRACE_TOL_MULT * (1.0 + abs(lhs)),
-        dim=path.dim,
-        degree=max((abs(r) for r, _ in p), default=0),
-        seed=seed,
-        runtime=time.perf_counter() - start,
+    degree = max((abs(r) for r, _ in p), default=0)
+    return VerificationReport.judge(
+        "mult", lhs, rhs, TRACE_TOL_MULT, start, dim=path.dim, degree=degree, seed=seed
     )
 
 
@@ -314,27 +295,20 @@ def quotient_bound_test(
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     dir_sq = hs_norm(path.direction) ** 2
+    # the pairing is coeffs @ data: contour moments c_0..c_max_deg (linear), or
+    # modes d_1..d_(max_deg+1) (mult), whose factor i leaves |pairing| unchanged
     if path.kind == LINEAR:
-        moments = eta_moments_linear(path, range(max_deg + 1))
-        moments = np.array([moments[m] for m in range(max_deg + 1)])
-
-        def pairing(coeffs: np.ndarray) -> complex:
-            return complex(coeffs @ moments)
-
+        data = eta_moments_linear(path, range(max_deg + 1))
     else:
-        modes = eta_tilde_moments_mult(path, list(range(1, max_deg + 2)))
-        stacked = np.array([modes[k] for k in range(1, max_deg + 2)])
-
-        def pairing(coeffs: np.ndarray) -> complex:
-            return complex(1j * (coeffs @ stacked))
-
+        data = eta_tilde_moments_mult(path, range(1, max_deg + 2))
+    data = np.array(list(data.values()))
     max_ratio = 0.0
     worst_excess = -np.inf
     for _ in range(trials):
         coeffs = sampling.random_coefficients(rng, max_deg + 1)
         f = TrigPolynomial({k: c for k, c in enumerate(coeffs)})
         sup = f.sup_norm_estimate()
-        paired = abs(pairing(coeffs))
+        paired = abs(complex(coeffs @ data))
         bound = 0.5 * sup * dir_sq
         worst_excess = max(worst_excess, paired - bound - BOUND_SLACK * dir_sq)
         if bound > 0:

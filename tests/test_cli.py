@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -368,3 +369,16 @@ class TestReportCommand:
         assert main(["report", "--out", str(out)]) == 1
         printed = capsys.readouterr()
         assert "mult: 0/2 pass" in printed.out and printed.err == ""
+
+
+class TestJudge:
+    def test_relative_rule_and_the_extra_condition(self):
+        start = time.perf_counter()
+        # residual 1e-8 against tol 1e-8 on the scale 1 + |lhs| = 2: passes
+        rep = VerificationReport.judge("linear", 1.0 + 0j, 1.0 + 1e-8j, 1e-8, start, dim=3, seed=4)
+        assert rep.passed and rep.residual == abs(1e-8j) and rep.tol == 1e-8
+        assert (rep.kind, rep.dim, rep.seed, rep.degree) == ("linear", 3, 4, 0)
+        assert rep.runtime >= 0.0
+        # past the scale, or with the extra condition false, it fails
+        assert not VerificationReport.judge("mult", 1.0, 1.0 + 3e-8, 1e-8, start).passed
+        assert not VerificationReport.judge("cayley_sa", 1.0, 1.0, 1e-8, start, also=False).passed

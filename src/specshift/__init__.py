@@ -22,7 +22,6 @@ from .paths import PerturbationPath, difference_quotient_residual, monomial_boun
 from .dilation import (
     DilationError,
     NDilation,
-    dilation_unitaries,
     hs_difference_schaffer,
     n_dilation,
     schaffer_window,

@@ -15,7 +15,7 @@ resolvent identity is paired against it through the flux of 1/(lam - z).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,68 +86,59 @@ def _require_no_eigenvalue_one(t: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class SelfAdjointPair:
-    """A pair of Hermitian matrices with unitary Cayley transforms.
+class _CayleyPair:
+    """A pair of matrices and the linear path between their Cayley images.
 
-    The transforms and the linear path between them are built and checked
-    once, at construction: :func:`cayley_sa` refuses a matrix that is not
-    Hermitian, and the path refuses endpoints that are not contractions.
+    The transforms and the path are built and checked once, at construction:
+    a subclass names the two fields and its ``_transform`` refuses a matrix
+    of the wrong kind, and the path refuses images that are not contractions.
     """
 
-    h: np.ndarray
-    h0: np.ndarray
     _path: PerturbationPath = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = as_operator(self.h)
-        h0 = as_operator(self.h0)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "h0", h0)
-        if h.shape != h0.shape:
+        names = [f.name for f in fields(self) if f.init]
+        x, x0 = (as_operator(getattr(self, name)) for name in names)
+        if x.shape != x0.shape:
             raise ValueError("pair must share one dimension")
-        u, u0 = cayley_sa(h), cayley_sa(h0)
-        if not all(is_unitary(x, TRANSFORM_UNITARY_TOL) for x in (u, u0)):
-            raise ValueError("Cayley transforms failed the unitarity check")
+        for name, value in zip(names, (x, x0)):
+            object.__setattr__(self, name, value)
+        u, u0 = self._transform(x), self._transform(x0)
         object.__setattr__(self, "_path", PerturbationPath.linear(u0, u - u0))
 
     @property
     def dim(self) -> int:
-        return self.h.shape[0]
+        return self._path.dim
 
     def circle_path(self) -> PerturbationPath:
         return self._path
 
 
 @dataclass(frozen=True)
-class DissipativePair:
-    """A pair of dissipative matrices whose Cayley images avoid eigenvalue 1.
+class SelfAdjointPair(_CayleyPair):
+    """A pair of Hermitian matrices with unitary Cayley transforms
+    (:func:`cayley_sa`, then a unitarity check)."""
 
-    The transforms and the linear path between them are built and checked
-    once, at construction: :func:`cayley_dissipative` refuses a matrix that
-    is not dissipative, and the path refuses images that are not
-    contractions.
-    """
+    h: np.ndarray
+    h0: np.ndarray
+
+    @staticmethod
+    def _transform(h: np.ndarray) -> np.ndarray:
+        u = cayley_sa(h)
+        if not is_unitary(u, TRANSFORM_UNITARY_TOL):
+            raise ValueError("Cayley transform failed the unitarity check")
+        return u
+
+
+@dataclass(frozen=True)
+class DissipativePair(_CayleyPair):
+    """A pair of dissipative matrices whose Cayley images avoid eigenvalue 1
+    (:func:`cayley_dissipative`)."""
 
     l: np.ndarray
     l0: np.ndarray
-    _path: PerturbationPath = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        l = as_operator(self.l)
-        l0 = as_operator(self.l0)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "l0", l0)
-        if l.shape != l0.shape:
-            raise ValueError("pair must share one dimension")
-        t, t0 = cayley_dissipative(l), cayley_dissipative(l0)
-        object.__setattr__(self, "_path", PerturbationPath.linear(t0, t - t0))
-
-    @property
-    def dim(self) -> int:
-        return self.l.shape[0]
-
-    def circle_path(self) -> PerturbationPath:
-        return self._path
+    _transform = staticmethod(cayley_dissipative)
 
 
 def _verify_polynomial(
@@ -225,7 +216,6 @@ def verify_resolvent_formula(
     pair: SelfAdjointPair,
     z: complex,
     grid: int | None = None,
-    degree: int | None = None,
     seed: int | None = None,
     line: RealLineShift | None = None,
 ) -> VerificationReport:
@@ -241,21 +231,20 @@ def verify_resolvent_formula(
     the weight 2 (1 + lam z) / (lam - z)^3, given by its flux
     -(1 + lam^2) / (lam - z)^2.  The pulled-back symbol is a full analytic
     series whose modes decay like |tau|^{-k} with tau = (i - z)/(i + z),
-    |tau| > 1, so the dilation ``degree`` controls the truncation tail; the
-    default ``RESOLVENT_DEGREE`` covers |tau| >= 2 at ``RESOLVENT_TOL`` on
+    |tau| > 1, so the dilation degree of the line controls the truncation
+    tail; ``RESOLVENT_DEGREE`` covers |tau| >= 2 at ``RESOLVENT_TOL`` on
     the scale 1 + |lhs|.
 
-    A prebuilt ``line`` (from :func:`resolvent_pipeline`) is used as built:
-    the report carries its degree and grid, and an explicit ``degree`` or
-    ``grid`` that differs from them raises ``ValueError``.
+    Without ``line`` the pipeline is built at ``RESOLVENT_DEGREE`` on
+    ``grid``.  A prebuilt ``line`` (from :func:`resolvent_pipeline`, which
+    takes any other degree) is used as built: the report carries its degree
+    and grid, and an explicit ``grid`` that differs raises ``ValueError``.
     """
     z = complex(z)
     if z.imag >= 0:
         raise ValueError("the resolvent identity is stated for Im z < 0")
-    if line is not None:
-        for name, asked, built in (("grid", grid, line.grid), ("degree", degree, line.degree)):
-            if asked is not None and asked != built:
-                raise ValueError(f"{name} {asked} contradicts the line, built at {name} {built}")
+    if line is not None and grid is not None and grid != line.grid:
+        raise ValueError(f"grid {grid} contradicts the line, built at grid {line.grid}")
     start = time.perf_counter()
     tau = (1j - z) / (1j + z)
     h, h0 = pair.h, pair.h0
@@ -266,11 +255,7 @@ def verify_resolvent_formula(
     x = (1j * eye + h0) @ r0z
     lhs = complex(np.trace(rz - r0z - x @ m @ x))
     if line is None:
-        line = resolvent_pipeline(
-            pair,
-            grid=DEFAULT_GRID if grid is None else grid,
-            degree=RESOLVENT_DEGREE if degree is None else degree,
-        )
+        line = resolvent_pipeline(pair, grid=DEFAULT_GRID if grid is None else grid)
 
     def flux(lam):
         lam = np.asarray(lam, dtype=np.complex128)

@@ -407,8 +407,15 @@ def run_report(cfg: CampaignConfig) -> int:
     return 0 if all(slot["failed"] == 0 for slot in by_kind.values()) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad or unknown flag in one line; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"invalid configuration: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="specshift",
         description="verification campaigns for second-order spectral shift identities",
     )

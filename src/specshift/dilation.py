@@ -24,7 +24,6 @@ __all__ = [
     "schaffer_window",
     "hs_difference_schaffer",
     "n_dilation",
-    "dilation_unitaries",
     "julia_operators",
     "unitaries_from_julia",
 ]
@@ -145,21 +144,14 @@ def unitaries_from_julia(js, n: int) -> np.ndarray:
     return u
 
 
-def dilation_unitaries(ts, n: int) -> np.ndarray:
-    """Degree-N dilation unitaries, (k, (N+1)d, (N+1)d), of k contractions.
-
-    The checked Julia operators of :func:`julia_operators` laid out by
-    :func:`unitaries_from_julia`.
-    """
-    if n < 1:
-        raise ValueError("dilation degree must be at least 1")
-    return unitaries_from_julia(julia_operators(ts), n)
-
-
 def n_dilation(t, n: int) -> NDilation:
     """Finite unitary dilation reproducing T^k under compression for k <= N.
 
-    The one-member case of :func:`dilation_unitaries`.
+    The one-member case of :func:`julia_operators` and
+    :func:`unitaries_from_julia`.
     """
     t = as_operator(t)
-    return NDilation(degree=n, embed_dim=t.shape[0], unitary=dilation_unitaries(t[None], n)[0])
+    if n < 1:
+        raise ValueError("dilation degree must be at least 1")
+    u = unitaries_from_julia(julia_operators(t[None]), n)[0]
+    return NDilation(degree=n, embed_dim=t.shape[0], unitary=u)

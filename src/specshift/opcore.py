@@ -57,20 +57,21 @@ class NotAContractionError(ValueError):
 
 
 def as_operator(m) -> np.ndarray:
-    """Coerce to a square complex128 array with finite entries."""
+    """Coerce to a nonempty square complex128 array with finite entries."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.shape[0]:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
 
 def as_operator_stack(ms) -> np.ndarray:
-    """Coerce to a (k, d, d) stack of square complex128 arrays with finite entries."""
+    """Coerce to a (k, d, d) stack, d >= 1, of square complex128 arrays with
+    finite entries; the stack may be empty (k = 0)."""
     a = np.asarray(ms, dtype=np.complex128)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or not a.shape[1]:
+        raise ValueError(f"expected a stack of nonempty square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
@@ -91,10 +92,7 @@ def trace_norm(m) -> float:
 
 def op_norm(m) -> float:
     """Operator (spectral) norm: largest singular value."""
-    a = as_operator(m)
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(np.linalg.svd(as_operator(m), compute_uv=False)[0])
 
 
 def is_contraction(t) -> bool:
@@ -224,31 +222,16 @@ class TrigPolynomial:
 def apply_function(f: TrigPolynomial, t) -> np.ndarray:
     """Evaluate f(T) = sum_{k>=0} c_k T^k + sum_{k>=1} c_{-k} (T*)^k.
 
-    Both directions are accumulated Horner-style; powers of T are never
-    obtained through an eigendecomposition because non-normal contractions
-    may be defective.
+    The coefficients are contracted against :func:`signed_powers`, the power
+    ladders every moment route shares, so powers of T are never obtained
+    through an eigendecomposition (non-normal contractions may be
+    defective).  A symbol with no coefficients gives the zero matrix.
     """
     t = as_operator(t)
-    d = t.shape[0]
-    eye = np.eye(d, dtype=np.complex128)
-    out = np.zeros((d, d), dtype=np.complex128)
-    coeffs = f.coeffs
-    kmax = max((k for k in coeffs if k > 0), default=0)
-    if kmax or 0 in coeffs:
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for k in range(kmax, 0, -1):
-            acc += coeffs.get(k, 0.0) * eye
-            acc = t @ acc
-        out += acc + coeffs.get(0, 0.0) * eye
-    kmin = min((k for k in coeffs if k < 0), default=0)
-    if kmin:
-        tstar = t.conj().T
-        acc = np.zeros((d, d), dtype=np.complex128)
-        for k in range(kmin, 0):
-            acc += coeffs.get(k, 0.0) * eye
-            acc = tstar @ acc
-        out += acc
-    return out
+    if not len(f):
+        return np.zeros_like(t)
+    ks, cs = zip(*f)
+    return (np.array(cs) @ signed_powers(t, ks).reshape(len(ks), -1)).reshape(t.shape)
 
 
 def power_ladder(t, kmax: int) -> np.ndarray:
@@ -263,7 +246,9 @@ def power_ladder(t, kmax: int) -> np.ndarray:
     t = np.asarray(t, dtype=np.complex128)
     out = np.empty((kmax + 1,) + t.shape, dtype=np.complex128)
     out[0] = np.eye(t.shape[-1])
-    for n in range(kmax):
+    if kmax:
+        out[1] = t
+    for n in range(1, kmax):
         np.matmul(out[n], t, out=out[n + 1])
     return out
 
@@ -273,11 +258,12 @@ def signed_powers(t, ks) -> np.ndarray:
     of a matrix or of a stack of matrices (a new leading axis runs over ``ks``);
     built from a power ladder on T and, when some k < 0, one on T*."""
     t, ks = np.asarray(t, dtype=np.complex128), np.asarray(ks, dtype=np.int64)
+    lo = ks.min()
     up = power_ladder(t, max(ks.max(), 0))
-    if ks.min() >= 0:
+    if lo >= 0:
         return up[ks]
-    down = power_ladder(t.conj().swapaxes(-1, -2), -ks.min())
-    return np.concatenate([down[:0:-1], up])[ks - ks.min()]
+    down = power_ladder(t.conj().swapaxes(-1, -2), -lo)
+    return np.concatenate([down[:0:-1], up])[ks - lo]
 
 
 def hermitian_exp(a, s: float) -> np.ndarray:

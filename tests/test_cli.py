@@ -79,6 +79,32 @@ class TestTypedConfig:
         assert not (tmp_path / "o").exists()
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--kind", "bogus"],
+            ["verify", "--trials", "x"],
+            ["verify", "--bogus"],
+            ["eta", "--out"],
+            ["bogus"],
+            [],
+        ],
+    )
+    def test_bad_flags_exit_two_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+
+    def test_help_prints_the_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: specshift verify")
+
+
 class TestTransformTolerances:
     @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
     @pytest.mark.parametrize("key", ["circle", "realline"])

@@ -27,9 +27,9 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from specshift import MomentConsistencyError, dilation_unitaries, n_dilation, sampling
+from specshift import MomentConsistencyError, n_dilation, sampling
 from specshift import SelfAdjointPair, semispectral, shift_step_representation
-from specshift.dilation import julia_operators
+from specshift.dilation import julia_operators, unitaries_from_julia
 from specshift.opcore import CONTRACTION_TOL, is_unitary
 from specshift.semispectral import (
     CLUSTER_TOL,
@@ -41,6 +41,11 @@ from specshift.semispectral import (
 
 TWO_PI = 2.0 * np.pi
 POLE = np.pi + semispectral._THETA0  # angle of the first rotation's pole
+
+
+def unitaries(ts, n):
+    """Degree-N dilation unitaries of a stack of contractions."""
+    return unitaries_from_julia(julia_operators(ts), n)
 
 
 def oracle_jumps(u, compress_dim, drop_tol=-1.0, cluster_tol=CLUSTER_TOL):
@@ -232,7 +237,7 @@ class TestScalarDilationSpectrum:
     @given(**SCALAR)
     def test_eigenvalues_are_the_characteristic_roots(self, radius, phase, n):
         t = radius * np.exp(1j * phase)
-        angles, _ = semispectral._unitary_eig(dilation_unitaries([[[t]]], n))
+        angles, _ = semispectral._unitary_eig(unitaries([[[t]]], n))
         assert_characteristic_roots(angles[0], t, n)
 
     @settings(max_examples=200, deadline=None)
@@ -300,7 +305,7 @@ class TestCharacteristicFunctionOracle:
 
 
 def dense_jumps(ts, n, drop_tol=-1.0):
-    ang, vec = semispectral._unitary_eig(dilation_unitaries(ts, n))
+    ang, vec = semispectral._unitary_eig(unitaries(ts, n))
     return semispectral._jump_lists(ang, vec[:, : ts.shape[1]], drop_tol)
 
 
@@ -380,7 +385,7 @@ class TestStructuredRoute:
     def test_agrees_with_the_dense_solve(self, seed, dim, n, kinds):
         rng = np.random.default_rng(seed)
         ts = np.stack([edge_contraction(rng, kind, dim) for kind in kinds])
-        ang, vec = semispectral._unitary_eig(dilation_unitaries(ts, n))
+        ang, vec = semispectral._unitary_eig(unitaries(ts, n))
         want = semispectral._jump_lists(ang, vec[:, :dim], -1.0)
         # the dense eigenvectors of eigenvalues 1e-4 apart are good to about
         # 1e-12 only; eigenvalues closer than that are either one cluster
@@ -462,7 +467,7 @@ class TestStructuredRoute:
         # member to the dense route beyond _LAMBDA_MAX and leaves it to the
         # structured one below; the jumps are the same either way
         ts = edge_contraction(np.random.default_rng(seed), kind, dim)[None]
-        ang, _ = semispectral._unitary_eig(dilation_unitaries(ts, n))
+        ang, _ = semispectral._unitary_eig(unitaries(ts, n))
         assume(semispectral._circle_gaps(ang)[1].min() >= 1e-4)
         theta = ang[0, int(pick * ang.shape[1])] + delta - np.pi
         assume(abs(1.0 - (-np.exp(-1j * theta)) ** (n + 1)) > semispectral._CIRCULANT_MIN)
@@ -543,7 +548,7 @@ class TestRetryPath:
         semispectral_cdfs(ts, 4)
         self.assert_one_structured_solve(tried, ts)
         [u] = dense
-        assert np.array_equal(u, dilation_unitaries(ts[2:3], 4))
+        assert np.array_equal(u, unitaries(ts[2:3], 4))
 
     def test_singular_solve_is_retried(self, monkeypatch):
         # the dilations of these unitaries with eigenvalue -1 have a repeated

@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 
 from specshift import (
     NotAContractionError,
+    PerturbationPath,
+    SelfAdjointPair,
     TrigPolynomial,
     apply_function,
     as_operator,
@@ -12,12 +14,28 @@ from specshift import (
     hermitian_exp,
     hs_norm,
     is_contraction,
+    n_dilation,
     power_ladder,
+    semispectral_cdf,
+    shift_step_representation,
     signed_powers,
+    spectral_cdf_unitary,
     trace_norm,
+    verify_selfadjoint_formula,
 )
 from specshift import sampling
-from specshift.opcore import SUP_NORM_GRID
+from specshift.opcore import SUP_NORM_GRID, as_operator_stack
+
+SEED = st.integers(0, 2**32 - 1)
+COEFF = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+# symbols supported in [-8, 8]: empty, constant, analytic, co-analytic, two-sided
+SYMBOL = st.one_of(
+    st.just({}),
+    st.dictionaries(st.just(0), COEFF, min_size=1),
+    st.dictionaries(st.integers(1, 8), COEFF, min_size=1),
+    st.dictionaries(st.integers(-8, -1), COEFF, min_size=1),
+    st.dictionaries(st.integers(-8, 8), COEFF, min_size=1),
+)
 
 
 class TestNorms:
@@ -55,6 +73,34 @@ class TestNorms:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             as_operator(np.array([[np.inf, 0], [0, 0]]))
+
+
+EMPTY = np.zeros((0, 0))
+
+
+class TestEmptyOperator:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: as_operator(EMPTY),
+            lambda: as_operator_stack(np.zeros((2, 0, 0))),
+            lambda: semispectral_cdf(EMPTY, 3),
+            lambda: spectral_cdf_unitary(EMPTY),
+            lambda: n_dilation(EMPTY, 2),
+            lambda: PerturbationPath.linear(EMPTY, EMPTY),
+            lambda: shift_step_representation(PerturbationPath.linear(EMPTY, EMPTY), 3),
+            lambda: SelfAdjointPair(EMPTY, EMPTY),
+            lambda: verify_selfadjoint_formula(
+                SelfAdjointPair(EMPTY, EMPTY), TrigPolynomial({2: 1.0})
+            ),
+        ],
+    )
+    def test_a_zero_dimensional_operator_is_refused(self, call):
+        with pytest.raises(ValueError, match="nonempty"):
+            call()
+
+    def test_an_empty_stack_is_allowed(self):
+        assert as_operator_stack(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
 class TestContraction:
@@ -166,6 +212,35 @@ class TestApplyFunction:
             for k, c in f
         )
         assert_allclose(apply_function(f, t), direct, atol=1e-13)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=SEED, d=st.integers(1, 6), coeffs=SYMBOL)
+    def test_matches_matrix_powers(self, seed, d, coeffs):
+        t = sampling.random_contraction(np.random.default_rng(seed), d)
+        f = TrigPolynomial(coeffs)
+        want = np.zeros((d, d), dtype=np.complex128)
+        for k, c in f:
+            want += c * np.linalg.matrix_power(t if k >= 0 else t.conj().T, abs(k))
+        # every power of a contraction has norm at most 1
+        scale = 1.0 + sum(abs(c) for _, c in f)
+        assert_allclose(apply_function(f, t), want, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize(
+        "make, ks",
+        [
+            (PerturbationPath.multiplicative, st.integers(-8, 8)),
+            (PerturbationPath.linear, st.integers(0, 8)),
+        ],
+        ids=["mult-two-sided", "linear-analytic"],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEED, d=st.integers(1, 6), data=st.data())
+    def test_second_order_trace_is_zero_on_a_zero_direction(self, make, ks, seed, d, data):
+        # T_1 = T_0 and the block of the Gateaux derivative is block diagonal,
+        # so f(T_1) - f(T_0) and the derivative vanish exactly
+        f = TrigPolynomial(data.draw(st.dictionaries(ks, COEFF, min_size=1)))
+        t0 = sampling.random_contraction(np.random.default_rng(seed), d)
+        assert make(t0, np.zeros((d, d))).second_order_trace(f) == 0
 
     def test_peller_type_estimate(self):
         # || f(T) - f(T0) ||_2 <= sup|f'| * || T - T0 ||_2 for analytic f,

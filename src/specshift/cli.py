@@ -435,7 +435,12 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--degrees", help="comma-separated polynomial degrees")
         cmd.add_argument("--grid", type=int)
         cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--workers", type=int)
+        cmd.add_argument(
+            "--workers",
+            type=int,
+            help="trial threads; same trial order and output bytes, but no faster: "
+            "the numpy-bound trials hold the GIL",
+        )
         cmd.add_argument("--zero-direction", dest="zero_direction", action="store_true")
     return parser
 

@@ -133,6 +133,8 @@ def unitaries_from_julia(js, n: int) -> np.ndarray:
     (0, N), D_T at (1, 0), -T* at (1, N) and identity shifts (j, j-1) for
     2 <= j <= N.
     """
+    if n < 1:
+        raise ValueError("dilation degree must be at least 1")
     k, d2, _ = js.shape
     d = d2 // 2
     m = (n + 1) * d
@@ -151,7 +153,5 @@ def n_dilation(t, n: int) -> NDilation:
     :func:`unitaries_from_julia`.
     """
     t = as_operator(t)
-    if n < 1:
-        raise ValueError("dilation degree must be at least 1")
     u = unitaries_from_julia(julia_operators(t[None]), n)[0]
     return NDilation(degree=n, embed_dim=t.shape[0], unitary=u)

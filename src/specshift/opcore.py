@@ -273,3 +273,15 @@ def hermitian_exp(a, s: float) -> np.ndarray:
         raise ValueError("hermitian_exp requires a Hermitian matrix")
     w, q = np.linalg.eigh(a)
     return (q * np.exp(1j * s * w)) @ q.conj().T
+
+
+def _complex_schur(a: np.ndarray):
+    """Complex Schur form A = Z S Z* of one square matrix: (S, Z), by LAPACK.
+
+    The one place the package names SciPy.  Its import takes longer than
+    the rest of start-up together, so it is paid on the first dense Schur
+    and a process that never takes one never loads SciPy.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.schur(a, output="complex")

@@ -37,10 +37,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .dilation import julia_operators, unitaries_from_julia
-from .opcore import as_operator, as_operator_stack, hs_norm, is_unitary, power_ladder
+from .opcore import (
+    _complex_schur,
+    as_operator,
+    as_operator_stack,
+    hs_norm,
+    is_unitary,
+    power_ladder,
+)
 
 __all__ = [
     "SemiSpectralCDF",
@@ -102,7 +108,7 @@ class SemiSpectralCDF:
         """sum_j e^{i n t_j} J_j, n in ``ns``; reproduces T^n (adjoint powers for n < 0)."""
         ns = np.asarray(ns)
         phases = np.exp(1j * np.multiply.outer(ns, self.angles))
-        return np.einsum("nj,jab->nab", phases, self.blocks)
+        return (phases @ self.blocks.reshape(self.angles.size, -1)).reshape(-1, self.dim, self.dim)
 
 
 def _wrap_angles(ang: np.ndarray) -> np.ndarray:
@@ -148,7 +154,7 @@ def _unitary_eig(u: np.ndarray):
     ang = np.empty(u.shape[:2])
     vectors = np.empty(u.shape, dtype=np.complex128)
     for j, member in enumerate(u):
-        s, vectors[j] = scipy.linalg.schur(member, output="complex")
+        s, vectors[j] = _complex_schur(member)
         ang[j] = np.angle(np.diagonal(s))
     return ang, vectors
 

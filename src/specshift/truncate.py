@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .opcore import (
+    _complex_schur,
     as_operator,
     hermitian_exp,
     hs_norm,
@@ -101,7 +101,7 @@ def build_projections(
     n0 = as_operator(n0)
     if hs_norm(n0 @ n0.conj().T - n0.conj().T @ n0) > NORMALITY_TOL * (1.0 + hs_norm(n0) ** 2):
         raise ValueError("base operator must be normal")
-    s, z = scipy.linalg.schur(n0, output="complex")
+    s, z = _complex_schur(n0)
     eigs = np.diagonal(s)
     order = sorted(
         range(len(eigs)),

@@ -181,6 +181,12 @@ class TestNDilation:
         with pytest.raises(ValueError):
             n_dilation(2 * np.eye(2), 2)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_unitaries_from_julia_refuses_degree_below_one(self, n):
+        js = dilation.julia_operators(np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError, match="dilation degree must be at least 1"):
+            dilation.unitaries_from_julia(js, n)
+
     def test_dilation_error_type_exists(self):
         assert issubclass(DilationError, RuntimeError)
 

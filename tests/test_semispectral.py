@@ -93,6 +93,17 @@ class TestSemiSpectralCDF:
                 cdf.moments([-n])[0], np.linalg.matrix_power(t.conj().T, n), atol=1e-10
             )
 
+    def test_moments_are_the_jump_sums(self):
+        # sum_j e^{i n t_j} B_j, term by term, at the largest resolvent dilation
+        rng = np.random.default_rng(7)
+        n = 36
+        cdf = semispectral_cdf(sampling.random_contraction(rng, 6), n)
+        ns = np.arange(-3, n + 1)
+        explicit = [
+            sum(np.exp(1j * k * a) * b for a, b in zip(cdf.angles, cdf.blocks)) for k in ns
+        ]
+        assert_allclose(cdf.moments(ns), explicit, rtol=0, atol=1e-13)
+
     def test_degree_stability(self):
         rng = np.random.default_rng(5)
         t = sampling.random_contraction(rng, 4)

@@ -42,6 +42,7 @@ from .shift import (
     eta_moments_linear,
     eta_tilde_moments_mult,
     gamma_pipeline,
+    mode_integrals,
     mobius_polynomial_flux,
     quotient_bound_test,
     shift_step_representation,

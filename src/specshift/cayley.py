@@ -233,7 +233,7 @@ def verify_resolvent_formula(
     series whose modes decay like |tau|^{-k} with tau = (i - z)/(i + z),
     |tau| > 1, so the dilation degree of the line controls the truncation
     tail; ``RESOLVENT_DEGREE`` covers |tau| >= 2 at ``RESOLVENT_TOL`` on
-    the scale 1 + |lhs|.
+    the scale 1 + |lhs|.  At z = -i, a pole of tau, both sides vanish; tau_abs is inf.
 
     Without ``line`` the pipeline is built at ``RESOLVENT_DEGREE`` on
     ``grid``.  A prebuilt ``line`` (from :func:`resolvent_pipeline`, which
@@ -246,7 +246,7 @@ def verify_resolvent_formula(
     if line is not None and grid is not None and grid != line.grid:
         raise ValueError(f"grid {grid} contradicts the line, built at grid {line.grid}")
     start = time.perf_counter()
-    tau = (1j - z) / (1j + z)
+    tau_abs = np.inf if z == -1j else abs((1j - z) / (1j + z))
     h, h0 = pair.h, pair.h0
     eye = np.eye(pair.dim)
     rz = np.linalg.inv(h - z * eye)
@@ -270,5 +270,5 @@ def verify_resolvent_formula(
         dim=pair.dim,
         degree=line.degree,
         seed=seed,
-        extras={"z": z, "tau_abs": abs(tau), "grid": line.grid},
+        extras={"z": z, "tau_abs": tau_abs, "grid": line.grid},
     )

@@ -35,9 +35,8 @@ from .shift import (
     TRACE_TOL_LINEAR,
     TRACE_TOL_MULT,
     PipelineError,
-    eta_moments_linear,
-    eta_tilde_moments_mult,
     gamma_pipeline,
+    mode_integrals,
     shift_step_representation,
     verify_trace_formula_linear,
     verify_trace_formula_mult,
@@ -117,16 +116,10 @@ class CampaignConfig:
                 if key not in {f.name for f in fields(cfg)}:
                     raise ValueError(f"unknown config key {key!r}")
                 setattr(cfg, key, value)
-        for key in ("kind", "seed", "trials", "grid", "out", "workers"):
-            value = getattr(args, key, None)
+        for f in fields(cfg):
+            value = getattr(args, f.name, None)  # None: the flag is not given or not taken
             if value is not None:
-                setattr(cfg, key, value)
-        if getattr(args, "dims", None):
-            cfg.dims = [int(x) for x in args.dims.split(",")]
-        if getattr(args, "degrees", None):
-            cfg.degrees = [int(x) for x in args.degrees.split(",")]
-        if getattr(args, "zero_direction", False):
-            cfg.zero_direction = True
+                setattr(cfg, f.name, value)
         cfg.validate()
         return cfg
 
@@ -161,19 +154,14 @@ def _sample_pair(rng: np.random.Generator, kind: str, dim: int, zero_direction: 
 # --- per-kind trial bodies -------------------------------------------------
 
 
-def _trial_linear(cfg: CampaignConfig, i: int) -> VerificationReport:
+def _trial_path(cfg: CampaignConfig, i: int) -> VerificationReport:
     rng = _trial_rng(cfg.seed, i)
-    path = _sample_path(rng, "linear", _pick(rng, cfg.dims), cfg.zero_direction)
+    path = _sample_path(rng, cfg.kind, _pick(rng, cfg.dims), cfg.zero_direction)
     deg = _pick(rng, cfg.degrees)
-    p = sampling.random_analytic_polynomial(rng, deg)
-    return verify_trace_formula_linear(path, p, seed=i)
-
-
-def _trial_mult(cfg: CampaignConfig, i: int) -> VerificationReport:
-    rng = _trial_rng(cfg.seed, i)
-    path = _sample_path(rng, "mult", _pick(rng, cfg.dims), cfg.zero_direction)
-    deg = max(_pick(rng, cfg.degrees), 1)
-    p = sampling.random_trig_polynomial(rng, deg)
+    if cfg.kind == "linear":
+        p = sampling.random_analytic_polynomial(rng, deg)
+        return verify_trace_formula_linear(path, p, seed=i)
+    p = sampling.random_trig_polynomial(rng, max(deg, 1))
     return verify_trace_formula_mult(path, p, seed=i)
 
 
@@ -271,8 +259,8 @@ def _trial_truncate(cfg: CampaignConfig, i: int) -> VerificationReport:
 
 
 _TRIALS = {
-    "linear": _trial_linear,
-    "mult": _trial_mult,
+    "linear": _trial_path,
+    "mult": _trial_path,
     "cayley_sa": _trial_transform,
     "cayley_diss": _trial_transform,
     "dilation": _trial_dilation,
@@ -308,17 +296,13 @@ def run_campaign(cfg: CampaignConfig) -> tuple[int, list[VerificationReport]]:
 
 
 def _check_step(cfg: CampaignConfig, path: PerturbationPath, step, max_deg: int) -> None:
-    # the pointwise step function must carry the moment route's Fourier data:
-    # contour moments c_m, m < max_deg (linear), modes d_r, 0 < |r| <= max_deg (mult)
-    if path.kind == LINEAR:
-        ref = eta_moments_linear(path, range(max_deg))
-        got = {m: step.contour_moment(m) for m in ref}
-        tol = TRACE_TOL_LINEAR
-    else:
-        ref = eta_tilde_moments_mult(path, [r for r in range(-max_deg, max_deg + 1) if r])
-        got = {r: step.time_fourier(r) for r in ref}
-        tol = TRACE_TOL_MULT
-    gap = max((abs(got[k] - ref[k]) / (1.0 + abs(ref[k])) for k in ref), default=0.0)
+    # the pointwise step function must carry the moment route's modes
+    # e_r = i time_fourier(r): 0 < r <= max_deg (linear), 0 < |r| <= max_deg (mult)
+    linear = path.kind == LINEAR
+    ref = mode_integrals(path, [r for r in range(1 if linear else -max_deg, max_deg + 1) if r])
+    tol = TRACE_TOL_LINEAR if linear else TRACE_TOL_MULT
+    gaps = [abs(1j * step.time_fourier(r) - e) / (1.0 + abs(e)) for r, e in ref.items()]
+    gap = max(gaps, default=0.0)
     if not gap <= tol:
         raise PipelineError(
             f"{cfg.kind} step function misses the moment route by {gap:.3e} (tol {tol:g})"
@@ -414,6 +398,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"invalid configuration: {message}\n")
 
 
+def _int_list(text: str) -> list[int]:
+    # a --dims/--degrees value: comma-separated integers, at least one
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
+
+
+# flag: (the commands that read it, its argparse spec); every flag but --config sets a config field
+_FLAGS = {
+    "config": ("verify eta diagnose report", {"help": "JSON config file"}),
+    "seed": ("verify eta diagnose", {"type": int}),
+    "kind": ("verify eta", {"choices": KINDS}),
+    "trials": ("verify", {"type": int}),
+    "dims": ("verify eta diagnose", {"type": _int_list, "help": "comma-separated dimensions"}),
+    "degrees": ("verify eta diagnose", {"type": _int_list,
+                                        "help": "comma-separated polynomial degrees"}),
+    "grid": ("verify eta", {"type": int}),
+    "out": ("verify eta diagnose report", {"help": "output directory"}),
+    "workers": ("verify", {"type": int, "help": "trial threads; same trial order and output "
+                           "bytes, but no faster: the numpy-bound trials hold the GIL"}),
+    "zero_direction": ("verify eta diagnose", {"action": "store_const", "const": True}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="specshift",
@@ -427,21 +436,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("report", "aggregate an existing campaign directory"),
     ):
         cmd = sub.add_parser(name, help=desc)
-        cmd.add_argument("--config", help="JSON config file")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--kind", choices=KINDS)
-        cmd.add_argument("--trials", type=int)
-        cmd.add_argument("--dims", help="comma-separated dimensions")
-        cmd.add_argument("--degrees", help="comma-separated polynomial degrees")
-        cmd.add_argument("--grid", type=int)
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument(
-            "--workers",
-            type=int,
-            help="trial threads; same trial order and output bytes, but no faster: "
-            "the numpy-bound trials hold the GIL",
-        )
-        cmd.add_argument("--zero-direction", dest="zero_direction", action="store_true")
+        for flag, (readers, spec) in _FLAGS.items():
+            if name in readers.split():
+                cmd.add_argument("--" + flag.replace("_", "-"), **spec)
     return parser
 
 

@@ -1,28 +1,20 @@
 """Second-order spectral shift functions on the circle, by two routes.
 
-For a linear path the shift function eta satisfies
+Both trace formulae pair against one sequence of path data,
 
-    Tr{ p(T_1) - p(T_0) - (d/ds) p(T_s)|_0 } = contour integral of p'' eta,
+    e_r = 1/r * int_0^1 Tr[ Y (T_s^r - T_0^r) ] ds,    Y the path direction,
 
-and its contour moments c_m have an exact quadrature form
-
-    c_m = 1/(m+1) * int_0^1 Tr[ V (T_s^{m+1} - T_0^{m+1}) ] ds,
-
-a polynomial in s, integrated exactly by Gauss-Legendre.  That moment route
-is the authoritative representation: the class of eta modulo analytic terms
-is determined by {c_m, m >= 0}.  Independently, eta has a pointwise
-representation as an s-average of differences of semi-spectral cumulative
-functions; it is an exact step function in the angle, so its Fourier data
-can also be computed exactly and compared against the moments.
-
-For a multiplicative path the analogous function eta~ is real valued and
-unique up to an additive constant; its nonzero Fourier modes are
-
-    d_r = 1/(i r) * int_0^1 Tr[ A (T_s^r - T_0^r) ] ds,   r != 0,
-
-with adjoint powers for negative r, integrated by a Gauss-Legendre rule whose
-node count an a priori bound sets (the integrand is entire, not polynomial,
-in s).  The constant mode is fixed to zero by convention.
+with adjoint powers for r < 0 (:func:`mode_integrals`).  On a linear path the
+contour moments of the shift function eta are c_m = e_(m+1); the s-integrand
+is a polynomial, integrated exactly by Gauss-Legendre.  That moment route is
+the authoritative representation: the class of eta modulo analytic terms is
+determined by {c_m, m >= 0}.  On a multiplicative path the real-valued eta~,
+unique up to an additive constant (fixed to zero), has the nonzero Fourier
+modes d_r = e_r / i; the integrand is entire, not polynomial, in s, and an a
+priori bound sets the Gauss-Legendre node count.  Independently, eta has a
+pointwise representation as an s-average of differences of semi-spectral
+cumulative functions, an exact step function in the angle whose Fourier data
+i * time_fourier(r) can be compared with e_r exactly.
 
 The numbers that carry the reduction to finite dimensions are module
 constants, not arguments: the dilation degree margin ``DEGREE_MARGIN`` and
@@ -46,6 +38,7 @@ __all__ = [
     "StepFunction",
     "RealLineShift",
     "PipelineError",
+    "mode_integrals",
     "eta_moment_linear",
     "eta_moments_linear",
     "eta_tilde_moments_mult",
@@ -190,24 +183,36 @@ def shift_step_representation(
     return StepFunction(np.concatenate([cdf.angles for cdf in cdfs]), np.concatenate(heights))
 
 
-def eta_moments_linear(path: PerturbationPath, ms) -> dict[int, complex]:
-    """Contour moments c_m, m in ``ms``, of the linear-path shift function, exactly.
+def mode_integrals(path: PerturbationPath, rs) -> dict[int, complex]:
+    """Fourier data e_r = (1/r) int_0^1 Tr[Y (T_s^r - T_0^r)] ds, r in ``rs``, of
+    a path with direction Y: the one sequence both trace formulae pair with.
 
-    The s-integrand of c_m is a polynomial of degree m+1, so one
-    Gauss-Legendre rule of (max(ms)+3)//2 nodes integrates every requested
-    moment exactly; one power ladder up to max(ms)+1 walks the stack of all
-    node points.
+    A linear path takes r >= 1; its s-integrand is a polynomial of degree r,
+    which (max(rs) + 2) // 2 Gauss-Legendre nodes integrate exactly.  A
+    multiplicative path takes r != 0 (adjoint powers for r < 0); its integrand
+    is entire, and :func:`_mult_node_count` nodes meet ``QUAD_TOL``.
     """
+    rs = [int(r) for r in rs]
+    if path.kind == LINEAR and any(r < 1 for r in rs):
+        raise ValueError("a linear path has the modes e_r for r >= 1")
+    if any(r == 0 for r in rs):
+        raise ValueError("the constant mode is not determined; it is fixed to 0")
+    if not rs:
+        return {}
+    top = max(abs(r) for r in rs)
+    count = (top + 2) // 2 if path.kind == LINEAR else _mult_node_count(path, top)
+    return {r: complex(val / r) for r, val in zip(rs, _trace_integrals(path, count, rs))}
+
+
+def eta_moments_linear(path: PerturbationPath, ms) -> dict[int, complex]:
+    """Contour moments c_m = e_(m+1), m in ``ms``, of the linear-path shift
+    function, exactly (:func:`mode_integrals`)."""
     if path.kind != LINEAR:
         raise ValueError("moment route is defined for linear paths")
     ms = [int(m) for m in ms]
     if any(m < 0 for m in ms):
         raise ValueError("contour moments are indexed by m >= 0")
-    if not ms:
-        return {}
-    top = max(ms) + 1
-    total = _trace_integrals(path, (top + 2) // 2, range(top + 1))
-    return {m: complex(total[m + 1] / (m + 1)) for m in ms}
+    return {r - 1: e for r, e in mode_integrals(path, [m + 1 for m in ms]).items()}
 
 
 def eta_moment_linear(path: PerturbationPath, m: int) -> complex:
@@ -217,23 +222,16 @@ def eta_moment_linear(path: PerturbationPath, m: int) -> complex:
 
 
 def eta_tilde_moments_mult(path: PerturbationPath, rs) -> dict[int, complex]:
-    """Fourier modes d_r, r != 0, of the multiplicative shift function.
-
-    All requested modes share one Gauss-Legendre rule, whose node count
-    the a priori bound of :func:`_mult_node_count` sets for the largest |r|
-    so that every mode meets ``QUAD_TOL``.  The node points come as one
-    stack from the path's cached eigendecomposition, and one stacked ladder
-    up and one down give every power.
-    """
+    """Fourier modes d_r = e_r / i, r != 0, of the multiplicative shift
+    function (:func:`mode_integrals`, every mode within ``QUAD_TOL``)."""
     if path.kind != MULTIPLICATIVE:
         raise ValueError("these Fourier modes belong to multiplicative paths")
-    rs = [int(r) for r in rs]
-    if any(r == 0 for r in rs):
-        raise ValueError("the constant mode is not determined; it is fixed to 0")
-    if not rs:
-        return {}
-    total = _trace_integrals(path, _mult_node_count(path, max(abs(r) for r in rs)), rs)
-    return {r: complex(val / (1j * r)) for r, val in zip(rs, total)}
+    return {r: e / 1j for r, e in mode_integrals(path, rs).items()}
+
+
+def _pair_second_derivative(phi: TrigPolynomial, mode) -> complex:
+    # sum of c_r r (r - 1) e_(r-1) over the modes r >= 2 of phi, e_k = mode(k)
+    return complex(sum((c * r * (r - 1) * mode(r - 1) for r, c in phi if r >= 2), 0j))
 
 
 def verify_trace_formula_linear(
@@ -250,11 +248,8 @@ def verify_trace_formula_linear(
         raise ValueError("linear trace identity applies to analytic polynomials")
     start = time.perf_counter()
     lhs = path.second_order_trace(p)
-    moments = eta_moments_linear(path, [r - 2 for r, _ in p if r >= 2])
-    rhs = 0.0 + 0.0j
-    for r, c in p:
-        if r >= 2:
-            rhs += c * r * (r - 1) * moments[r - 2]
+    e = mode_integrals(path, [r - 1 for r, _ in p if r >= 2])
+    rhs = _pair_second_derivative(p, e.__getitem__)
     return VerificationReport.judge(
         "linear", lhs, rhs, TRACE_TOL_LINEAR, start, dim=path.dim, degree=p.max_index, seed=seed
     )
@@ -295,13 +290,8 @@ def quotient_bound_test(
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     dir_sq = hs_norm(path.direction) ** 2
-    # the pairing is coeffs @ data: contour moments c_0..c_max_deg (linear), or
-    # modes d_1..d_(max_deg+1) (mult), whose factor i leaves |pairing| unchanged
-    if path.kind == LINEAR:
-        data = eta_moments_linear(path, range(max_deg + 1))
-    else:
-        data = eta_tilde_moments_mult(path, range(1, max_deg + 2))
-    data = np.array(list(data.values()))
+    # |pairing| = |coeffs @ e_1..e_(max_deg+1)|, for c_m = e_(m+1) and |d_r| = |e_r|
+    data = np.array(list(mode_integrals(path, range(1, max_deg + 2)).values()))
     max_ratio = 0.0
     worst_excess = -np.inf
     for _ in range(trials):
@@ -391,11 +381,7 @@ class RealLineShift:
         """
         if not phi.analytic:
             raise ValueError("circle-side pairing applies to analytic polynomials")
-        total = 0.0 + 0.0j
-        for r, c in phi:
-            if r >= 2:
-                total += c * 1j * r * (r - 1) * self.step.time_fourier(r - 1)
-        return complex(total)
+        return _pair_second_derivative(phi, lambda k: 1j * self.step.time_fourier(k))
 
     def pairing_realline(self, flux) -> complex:
         """Integral over the real line of W'(lam) xi(lam) d lam, exactly.

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,6 +19,7 @@ from specshift import (
     verify_selfadjoint_formula,
 )
 from specshift import cayley, sampling
+from specshift.report import write_reports_json
 
 
 def w_path(pair, s):
@@ -255,6 +258,19 @@ class TestResolventFormula:
         )
         rep = verify_resolvent_formula(pair, -1.0 - 2.0j)
         assert rep.extras["tau_abs"] > 1
+
+    def test_pole_of_tau(self, tmp_path):
+        # at z = -i, the pole of tau, both sides vanish; tau_abs is inf without
+        # a warning (warnings fail the run), and reports.json writes it as null
+        rng = np.random.default_rng(15)
+        for dim in (2, 4, 6):
+            pair = SelfAdjointPair(
+                sampling.random_hermitian(rng, dim), sampling.random_hermitian(rng, dim)
+            )
+            rep = verify_resolvent_formula(pair, -1j, grid=512)
+            assert rep.passed and rep.extras["tau_abs"] == np.inf
+        write_reports_json(tmp_path / "reports.json", [rep])
+        assert json.loads((tmp_path / "reports.json").read_text())[0]["extras"]["tau_abs"] is None
         assert rep.passed
 
     def test_prebuilt_line_reports_its_own_degree_and_grid(self):

@@ -89,6 +89,9 @@ class TestFlags:
             ["eta", "--out"],
             ["bogus"],
             [],
+            ["verify", "--dims", ""],
+            ["verify", "--degrees", ""],
+            ["eta", "--dims", "2,x"],
         ],
     )
     def test_bad_flags_exit_two_with_one_line(self, capsys, argv):
@@ -97,6 +100,27 @@ class TestFlags:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert err.startswith("invalid configuration:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (command, flag)
+            for command, flags in {
+                "eta": ("--trials 3", "--workers 2"),
+                "diagnose": ("--kind linear", "--trials 3", "--grid 512", "--workers 2"),
+                "report": ("--seed 1", "--kind linear", "--trials 3", "--dims 2", "--degrees 3",
+                           "--grid 512", "--workers 2", "--zero-direction"),
+            }.items()
+            for flag in flags
+        ],
+    )
+    def test_a_flag_the_command_ignores_exits_two_with_one_line(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag.split()])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("invalid configuration: unrecognized arguments:")
+        assert err.count("\n") == 1
 
     def test_help_prints_the_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

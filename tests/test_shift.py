@@ -354,6 +354,42 @@ class TestMultiplicativeGaussRule:
         assert all(m is path.direction for m, path in zip(factored, checked))
 
 
+class TestModeIntegrals:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 5),
+        linear=st.booleans(),
+        rs=st.lists(st.integers(-12, 12).filter(bool), min_size=1, max_size=6, unique=True),
+    )
+    def test_one_sequence_for_both_paths(self, seed, dim, linear, rs):
+        rng = np.random.default_rng(seed)
+        if linear:
+            path, rs = sampling.random_linear_path(rng, dim), sorted({abs(r) for r in rs})
+        else:
+            path = sampling.random_multiplicative_path(rng, dim)
+        e = shift.mode_integrals(path, rs)
+        assert sorted(e) == sorted(rs)
+        # the readers are e itself: c_m = e_(m+1), d_r = e_r / i, bit for bit
+        if linear:
+            c = eta_moments_linear(path, [r - 1 for r in rs])
+            assert all(c[r - 1] == e[r] for r in rs)
+        else:
+            d = eta_tilde_moments_mult(path, rs)
+            assert all(d[r] == e[r] / 1j for r in rs)
+        # an 80-node rule: exact on a linear path; on a multiplicative one the
+        # integral r e_r meets QUAD_TOL, the target its node count is set for
+        ref = {r: 1j * d for r, d in gauss_modes(path, rs, 80).items()}
+        for r in rs:
+            tol = 1e-12 * (1.0 + abs(e[r])) if linear else shift.QUAD_TOL / abs(r)
+            assert abs(e[r] - ref[r]) <= tol
+        with pytest.raises(ValueError):
+            shift.mode_integrals(path, rs + [0])
+        if linear:
+            with pytest.raises(ValueError):
+                shift.mode_integrals(path, rs + [-rs[0]])
+
+
 class TestTraceFormulaLinear:
     def test_low_degree_identically_zero(self):
         rng = np.random.default_rng(10)

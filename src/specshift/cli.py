@@ -113,8 +113,8 @@ class CampaignConfig:
             if not isinstance(data, dict):
                 raise ValueError("a config file holds one JSON object")
             for key, value in data.items():
-                if key not in {f.name for f in fields(cfg)}:
-                    raise ValueError(f"unknown config key {key!r}")
+                if key not in _FLAGS or args.command not in _FLAGS[key][0].split():
+                    raise ValueError(f"{args.command} reads no config key {key!r}")
                 setattr(cfg, key, value)
         for f in fields(cfg):
             value = getattr(args, f.name, None)  # None: the flag is not given or not taken
@@ -406,9 +406,8 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
 
 
-# flag: (the commands that read it, its argparse spec); every flag but --config sets a config field
+# flag: (the commands that read it, its argparse spec); a command's flags are its config keys
 _FLAGS = {
-    "config": ("verify eta diagnose report", {"help": "JSON config file"}),
     "seed": ("verify eta diagnose", {"type": int}),
     "kind": ("verify eta", {"choices": KINDS}),
     "trials": ("verify", {"type": int}),
@@ -436,6 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("report", "aggregate an existing campaign directory"),
     ):
         cmd = sub.add_parser(name, help=desc)
+        cmd.add_argument("--config", help="JSON config file")
         for flag, (readers, spec) in _FLAGS.items():
             if name in readers.split():
                 cmd.add_argument("--" + flag.replace("_", "-"), **spec)

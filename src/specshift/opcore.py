@@ -1,10 +1,10 @@
 """Dense complex-operator substrate.
 
 Schatten norms, contraction classification, defect operators, the
-trigonometric-polynomial functional calculus for contractions, and unitary
-exponentials of Hermitian matrices.  Operators are square complex numpy
-arrays at a fixed, small dimension; every function here is pure and leaves
-its arguments untouched.
+trigonometric-polynomial functional calculus for contractions, unitary
+exponentials of Hermitian matrices and eigenbases of normal matrices.
+Operators are square complex numpy arrays at a fixed, small dimension;
+every function here is pure and leaves its arguments untouched.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "power_ladder",
     "signed_powers",
     "hermitian_exp",
+    "normal_eig",
 ]
 
 # The one contraction rule: T is a contraction iff its largest singular value
@@ -275,13 +276,19 @@ def hermitian_exp(a, s: float) -> np.ndarray:
     return (q * np.exp(1j * s * w)) @ q.conj().T
 
 
-def _complex_schur(a: np.ndarray):
-    """Complex Schur form A = Z S Z* of one square matrix: (S, Z), by LAPACK.
+def normal_eig(a: np.ndarray):
+    """Eigenvalues (k, m) and orthonormal eigenvectors of k normal matrices.
 
-    The one place the package names SciPy.  Its import takes longer than
-    the rest of start-up together, so it is paid on the first dense Schur
-    and a process that never takes one never loads SciPy.
+    The vectors are those of the Hermitian part of e^{-i phi} A, with 2 phi at
+    the middle of the widest gap among 2 arg(lam_i - lam_j) + pi, i <= j: it
+    merges no two distinct eigenvalues, and a cluster gets an orthonormal
+    basis.  The values are the Rayleigh quotients v* A v.
     """
-    import scipy.linalg
-
-    return scipy.linalg.schur(a, output="complex")
+    lam = np.linalg.eigvals(a)
+    i, j = np.triu_indices(a.shape[-1])
+    dirs = np.sort(np.mod(2.0 * np.angle(lam[:, i] - lam[:, j]) + np.pi, 2.0 * np.pi), axis=1)
+    gaps = np.diff(dirs, axis=1, append=dirs[:, :1] + 2.0 * np.pi)
+    mid = np.take_along_axis(dirs + gaps / 2.0, gaps.argmax(axis=1)[:, None], axis=1)
+    b = np.exp(-0.5j * mid)[:, :, None] * a
+    _, v = np.linalg.eigh(b + b.conj().swapaxes(1, 2))
+    return (v.conj() * (a @ v)).sum(axis=1), v

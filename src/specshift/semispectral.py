@@ -17,19 +17,19 @@ lam locate the eigenangles at theta + 2 arctan(lam).  Only these are
 computed; each eigenvector comes from the kernel of a 2d x 2d pencil
 (:func:`_dilation_eigs`), and the angle kept is the argument of its
 Rayleigh quotient v* U v.  The members that pass cannot vouch for go
-together through a dense complex Schur decomposition of U
-(:func:`_unitary_eig`): a singular circulant or capacitance matrix, a
-largest |lam| beyond ``_LAMBDA_MAX`` (the pole -e^{i theta} sits next to an
-eigenvalue), an eigen-residual beyond ``_RESIDUAL_FAIL``, or two eigenangles
-closer than ``_GAP_MIN`` (a kernel then no longer fixes one eigenvector:
-clusters, T = 0, coincidences at unitary T).  The circulant is singular
-where the pole lies on the block shift's spectrum,
-|1 - (-e^{-i theta})^{N+1}| <= ``_CIRCULANT_MIN``; at ``_THETA0`` the first
-such degree is N = 332 (0.0044), where every member goes dense and no
-structured pass runs.  A general unitary (:func:`spectral_cdf_unitary`) has
-no dilation structure and always takes the Schur route.  A stack of members
-(all the dilations of one path) is solved together, in chunks of at most
-``_CHUNK_ENTRIES`` entries per stacked array.
+together through one dense eigensolve of U (:func:`_unitary_eig`, which
+reads :func:`~specshift.opcore.normal_eig`): a singular circulant or
+capacitance matrix, a largest |lam| beyond ``_LAMBDA_MAX`` (the pole
+-e^{i theta} sits next to an eigenvalue), an eigen-residual beyond
+``_RESIDUAL_FAIL``, or two eigenangles closer than ``_GAP_MIN`` (a kernel
+then no longer fixes one eigenvector: clusters, T = 0, coincidences at
+unitary T).  The circulant is singular where the pole lies on the block
+shift's spectrum, |1 - (-e^{-i theta})^{N+1}| <= ``_CIRCULANT_MIN``; at
+``_THETA0`` the first such degree is N = 332 (0.0044), where every member
+goes dense and no structured pass runs.  A general unitary
+(:func:`spectral_cdf_unitary`) always takes the dense route.  A stack of
+members (all the dilations of one path) is solved together, in chunks of at
+most ``_CHUNK_ENTRIES`` entries per stacked array.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ import numpy as np
 
 from .dilation import julia_operators, unitaries_from_julia
 from .opcore import (
-    _complex_schur,
     as_operator,
     as_operator_stack,
     hs_norm,
     is_unitary,
+    normal_eig,
     power_ladder,
 )
 
@@ -144,19 +144,9 @@ def _nearest_gaps(ang: np.ndarray) -> np.ndarray:
 
 
 def _unitary_eig(u: np.ndarray):
-    """Eigenangles (k, m) and unit eigenvectors of k dense unitaries.
-
-    One complex Schur decomposition U = Z S Z* per member; the angles are
-    the arguments of the diagonal of S and are not yet wrapped.  For a
-    unitary S is diagonal to rounding and the orthonormal Schur vectors are
-    eigenvectors, clusters included, so the jumps sum to the identity.
-    """
-    ang = np.empty(u.shape[:2])
-    vectors = np.empty(u.shape, dtype=np.complex128)
-    for j, member in enumerate(u):
-        s, vectors[j] = _complex_schur(member)
-        ang[j] = np.angle(np.diagonal(s))
-    return ang, vectors
+    """Unwrapped eigenangles (k, m) and orthonormal eigenvectors of k unitaries."""
+    quot, vectors = normal_eig(u)
+    return np.angle(quot), vectors
 
 
 def _dilation_cayley(js: np.ndarray, n: int, theta: float) -> np.ndarray:

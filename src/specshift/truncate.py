@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .opcore import (
-    _complex_schur,
     as_operator,
     hermitian_exp,
     hs_norm,
     is_hermitian,
     is_unitary,
+    normal_eig,
     op_norm,
     signed_powers,
     trace_norm,
@@ -101,8 +101,7 @@ def build_projections(
     n0 = as_operator(n0)
     if hs_norm(n0 @ n0.conj().T - n0.conj().T @ n0) > NORMALITY_TOL * (1.0 + hs_norm(n0) ** 2):
         raise ValueError("base operator must be normal")
-    s, z = _complex_schur(n0)
-    eigs = np.diagonal(s)
+    [eigs], [z] = normal_eig(n0[None])
     order = sorted(
         range(len(eigs)),
         key=lambda i: (-abs(eigs[i]), np.angle(eigs[i]), i),

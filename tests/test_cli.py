@@ -32,8 +32,8 @@ class TestConfig:
         cfg_file.write_text(json.dumps({"kind": "mult", "trials": 3, "seed": 9}))
         import argparse
 
-        args = argparse.Namespace(config=str(cfg_file), kind=None, seed=11, trials=None,
-                                  grid=None, out=None, workers=None, dims=None,
+        args = argparse.Namespace(command="verify", config=str(cfg_file), kind=None, seed=11,
+                                  trials=None, grid=None, out=None, workers=None, dims=None,
                                   degrees=None, zero_direction=False)
         cfg = CampaignConfig.from_sources(args)
         assert cfg.kind == "mult" and cfg.trials == 3 and cfg.seed == 11
@@ -43,9 +43,24 @@ class TestConfig:
         cfg_file.write_text(json.dumps({"bogus": 1}))
         import argparse
 
-        args = argparse.Namespace(config=str(cfg_file))
+        args = argparse.Namespace(command="verify", config=str(cfg_file))
         with pytest.raises(ValueError):
             CampaignConfig.from_sources(args)
+
+    @pytest.mark.parametrize(
+        "command,data",
+        [("eta", {"trials": 3}), ("diagnose", {"kind": "mult"}), ("report", {"kind": "mult"})],
+    )
+    def test_a_key_the_command_ignores_exits_two_with_one_line(
+        self, tmp_path, capsys, command, data
+    ):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(data))
+        code = main([command, "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestTypedConfig:

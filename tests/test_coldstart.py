@@ -1,4 +1,4 @@
-"""SciPy is loaded on the first dense Schur and not before.
+"""No command and no eigensolve of the package loads SciPy.
 
 Each check runs in a fresh interpreter, because this test process has
 already imported SciPy for other tests.
@@ -50,27 +50,39 @@ def test_campaigns_and_resolvent_checks_never_load_scipy(tmp_path):
     )
 
 
-def test_dense_schur_loads_scipy_on_demand(tmp_path):
+def test_dense_solves_truncate_and_diagnose_never_load_scipy(tmp_path):
     run_fresh(
         """
         import sys
 
         import numpy as np
 
-        from specshift import build_projections, sampling, spectral_cdf_unitary
+        from specshift import build_projections, sampling, semispectral, spectral_cdf_unitary
+        from specshift.cli import CampaignConfig, run_campaign, run_diagnose
 
-        assert "scipy.linalg" not in sys.modules
         rng = np.random.default_rng(0)
         u = sampling.random_unitary(rng, 5)
         cdf = spectral_cdf_unitary(u)
         assert np.abs(cdf.moments([1])[0] - u).max() <= 1e-12
-        assert "scipy.linalg" in sys.modules
 
         q = sampling.random_unitary(rng, 4)
         n0 = (q * np.array([2.0, -1.0, 0.5j, 0.1])) @ q.conj().T
         seq = build_projections(n0, [1, 2, 4])
         off = np.linalg.norm(seq.basis.conj().T @ n0 @ seq.basis - np.diag([2.0, -1.0, 0.5j, 0.1]))
         assert off <= 1e-12, off
+
+        # T = 0: every eigenangle is repeated, so the dilation goes dense
+        dense = []
+        original = semispectral._unitary_eig
+        semispectral._unitary_eig = lambda u: dense.append(len(u)) or original(u)
+        semispectral.semispectral_cdfs(np.zeros((1, 2, 2)), 4)
+        assert dense == [1], dense
+
+        status, _ = run_campaign(CampaignConfig(kind="truncate", seed=1, trials=3, out="truncate"))
+        assert status == 0
+        run_diagnose(CampaignConfig(seed=7, dims=[8], out="diagnose"))
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
         """,
         tmp_path,
     )

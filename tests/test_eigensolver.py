@@ -6,8 +6,10 @@ orthonormal and its columns are eigenvectors, so clustering its diagonal and
 compressing its columns gives the reference jump measure.  A contraction
 within CONTRACTION_TOL above 1 is dilated as its nearest contraction, so every
 dilation is unitary to rounding and the same oracle serves it.  The dense
-solve (:func:`~specshift.semispectral._unitary_eig`) is that same Schur
-decomposition, so two checks of it do not go through Schur: the moments of
+solve (:func:`~specshift.semispectral._unitary_eig`) reads
+:func:`~specshift.opcore.normal_eig`, a rotation from ``eigvals`` and then
+``eigh`` of one Hermitian part, so the Schur oracle is independent of it;
+two further checks of it do not go through Schur: the moments of
 :func:`~specshift.semispectral.spectral_cdf_unitary` against matrix powers,
 and the eigenvalues of d = 1 dilations against the roots of their
 characteristic polynomial.  The structured dilation route (Woodbury Cayley

@@ -24,7 +24,7 @@ from specshift import (
     verify_selfadjoint_formula,
 )
 from specshift import sampling
-from specshift.opcore import SUP_NORM_GRID, as_operator_stack
+from specshift.opcore import SUP_NORM_GRID, as_operator_stack, normal_eig
 
 SEED = st.integers(0, 2**32 - 1)
 COEFF = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
@@ -36,6 +36,50 @@ SYMBOL = st.one_of(
     st.dictionaries(st.integers(-8, -1), COEFF, min_size=1),
     st.dictionaries(st.integers(-8, 8), COEFF, min_size=1),
 )
+
+# difference directions that merge two eigenvalues in the Hermitian part of
+# Re N, of Im N and of Re N + (sqrt(2)/3) Im N
+MERGED_BY_A_FIXED_PART = (np.pi / 2, 0.0, float(np.angle(np.sqrt(2.0) / 3.0 - 1j)))
+
+
+@st.composite
+def normal_spectra(draw):
+    """Spectra of m <= 8 with repeated values, with pairs aligned along one
+    direction, or of roots of unity (every gap equal), repeated or not."""
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(SEED))
+    kind = draw(st.sampled_from(["repeated", "aligned", "roots"]))
+    if kind == "roots":
+        n = draw(st.integers(1, m))
+        return np.exp(2j * np.pi * rng.integers(n, size=m) / n)
+    values = rng.normal(size=m) + 1j * rng.normal(size=m)
+    if kind == "repeated":
+        return values[rng.integers(draw(st.integers(1, m)), size=m)]
+    direction = draw(st.one_of(st.sampled_from(MERGED_BY_A_FIXED_PART), st.floats(0.0, 2 * np.pi)))
+    values[1::2] = values[: m // 2 * 2 : 2] + rng.uniform(0.1, 1.0, size=m // 2) * np.exp(
+        1j * direction
+    )
+    return values
+
+
+class TestNormalEig:
+    @settings(max_examples=150, deadline=None)
+    @given(lam=normal_spectra(), seed=SEED)
+    def test_an_orthonormal_eigenbasis(self, lam, seed):
+        q = sampling.random_unitary(np.random.default_rng(seed), lam.size)
+        a = (q * lam) @ q.conj().T
+        [quot], [z] = normal_eig(a[None])
+        assert_allclose(z.conj().T @ z, np.eye(lam.size), rtol=0, atol=1e-12)
+        m = z.conj().T @ a @ z
+        assert np.abs(m - np.diag(np.diagonal(m))).max() <= 1e-12 * (1.0 + np.abs(lam).max())
+        assert_allclose(quot, np.diagonal(m), rtol=0, atol=1e-12 * (1.0 + np.abs(lam).max()))
+
+    def test_a_stack(self):
+        rng = np.random.default_rng(4)
+        a = np.stack([sampling.random_normal_contraction(rng, 5) for _ in range(3)])
+        quot, z = normal_eig(a)
+        assert quot.shape == (3, 5) and z.shape == (3, 5, 5)
+        assert_allclose(a @ z, z * quot[:, None, :], rtol=0, atol=1e-12)
 
 
 class TestNorms:

@@ -51,6 +51,16 @@ class TestBuildProjections:
         second = seq.basis[:, 1]
         assert abs(second[0]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_eigenvalues_merged_by_a_fixed_direction_keep_their_basis(self):
+        # Re N + (sqrt(2)/3) Im N merges the first two eigenvalues: a basis
+        # from that one Hermitian part mixes them and leaks off the diagonal
+        lam = np.array([0.5, 0.5 + 0.3 * (np.sqrt(2.0) / 3.0 - 1j), -0.2j])
+        q = sampling.random_unitary(np.random.default_rng(0), 3)
+        n0 = (q * lam) @ q.conj().T
+        z = build_projections(n0, [1, 2, 3]).basis
+        m = z.conj().T @ n0 @ z
+        assert np.abs(m - np.diag(np.diagonal(m))).max() <= 1e-12
+
     def test_rejects_non_normal(self):
         with pytest.raises(ValueError):
             build_projections(np.array([[0.0, 1.0], [0.0, 0.0]]), [1])

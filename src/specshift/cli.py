@@ -45,6 +45,7 @@ from .shift import (
 from .truncate import (
     DIAGNOSTIC_FIELDS,
     build_projections,
+    exp_remainder,
     reduction_diagnostics,
     truncation_gap,
 )
@@ -219,15 +220,14 @@ def _trial_dilation(cfg: CampaignConfig, i: int) -> VerificationReport:
 
 def _truncation_setup(rng: np.random.Generator, dim: int, ranks, seed: int, zero_direction: bool):
     # normal N0, perturbation V, generator A (V = A = 0 for a zero direction),
-    # the rotated projection ladder, its diagnostics and the path from N0 + V along A
+    # the rotated projection ladder, (N0, V, A) and the path from N0 + V along A
     n0 = 0.8 * sampling.random_normal_contraction(rng, dim)
     v = np.zeros((dim, dim)) if zero_direction else 0.05 * sampling.complex_gaussian(rng, dim)
     a = np.zeros((dim, dim)) if zero_direction else sampling.random_hermitian(rng, dim, cap=1.0)
     seq = build_projections(n0, ranks, rotate=True, seed=seed)
-    rows = reduction_diagnostics(seq, n0, v, a)
     base = n0 + v
     scale = 1.0 / max(1.0, np.linalg.norm(base, 2) * 1.01)
-    return seq, rows, PerturbationPath.multiplicative(scale * base, a)
+    return seq, (n0, v, a), PerturbationPath.multiplicative(scale * base, a)
 
 
 def _trial_truncate(cfg: CampaignConfig, i: int) -> VerificationReport:
@@ -235,10 +235,9 @@ def _trial_truncate(cfg: CampaignConfig, i: int) -> VerificationReport:
     start = time.perf_counter()
     dim = max(_pick(rng, cfg.dims), 2)
     ranks = sorted(set([max(1, dim // 2), dim]))
-    seq, rows, path = _truncation_setup(rng, dim, ranks, i, cfg.zero_direction)
-    bound_ok = all(
-        row["exp_remainder_gap"] <= row["exp_remainder_bound"] + REMAINDER_SLACK for row in rows
-    )
+    seq, (_, _, a), path = _truncation_setup(rng, dim, ranks, i, cfg.zero_direction)
+    remainder, bound = exp_remainder(seq, a)
+    bound_ok = bool((remainder <= bound + REMAINDER_SLACK).all())
     deg = max(_pick(rng, cfg.degrees), 1)
     gaps = truncation_gap(seq, path, TrigPolynomial({deg: 1.0}))
     full_gap = gaps[-1]["gap"]
@@ -351,7 +350,8 @@ def run_diagnose(cfg: CampaignConfig) -> Path:
     rng = _trial_rng(cfg.seed, 0)
     dim = max(max(cfg.dims), 2)
     ranks = sorted(set(list(range(1, dim + 1, max(1, dim // 4))) + [dim]))
-    seq, rows, path = _truncation_setup(rng, dim, ranks, cfg.seed, cfg.zero_direction)
+    seq, operators, path = _truncation_setup(rng, dim, ranks, cfg.seed, cfg.zero_direction)
+    rows = reduction_diagnostics(seq, *operators)
     gaps = truncation_gap(seq, path, TrigPolynomial({max(cfg.degrees): 1.0}))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -32,6 +32,7 @@ __all__ = [
     "defects",
     "defects_from_svd",
     "apply_function",
+    "sup_norm_estimates",
     "power_ladder",
     "signed_powers",
     "hermitian_exp",
@@ -49,8 +50,10 @@ UNITARY_TOL = 1e-8
 
 # Sup norms of trigonometric polynomials are estimated on a uniform grid of
 # this many angles.  The estimate is a lower bound on the true sup; callers
-# that use it inside inequalities add an explicit slack.
+# that use it inside inequalities add an explicit slack.  One inverse FFT takes
+# SUP_NORM_ROWS polynomials (128 KB): wider batches raise peak memory, and 16 ran slower.
 SUP_NORM_GRID = 2048
+SUP_NORM_ROWS = 4
 
 
 class NotAContractionError(ValueError):
@@ -102,9 +105,10 @@ def is_contraction(t) -> bool:
 
 
 def is_hermitian(a) -> bool:
-    """True iff no entry of A - A* exceeds ``HERMITIAN_TOL`` in modulus."""
-    a = as_operator(a)
-    return float(np.abs(a - a.conj().T).max(initial=0.0)) <= HERMITIAN_TOL
+    """True iff no entry of A - A* exceeds ``HERMITIAN_TOL`` in modulus, in a
+    matrix or in any member of a (k, d, d) stack."""
+    a = as_operator_stack(a) if np.ndim(a) == 3 else as_operator(a)
+    return float(np.abs(a - a.conj().swapaxes(-1, -2)).max(initial=0.0)) <= HERMITIAN_TOL
 
 
 def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
@@ -209,15 +213,27 @@ class TrigPolynomial:
         return TrigPolynomial({k - 1: k * c for k, c in self._coeffs.items() if k != 0})
 
     def sup_norm_estimate(self) -> float:
-        """Max of |f| over ``SUP_NORM_GRID`` uniform angles (an estimate, not the sup).
+        """Max of |f| over ``SUP_NORM_GRID`` uniform angles (an estimate, not
+        the sup): :func:`sup_norm_estimates` of one row."""
+        return float(sup_norm_estimates(list(self._coeffs), [list(self._coeffs.values())])[0])
 
-        On the angles 2 pi j / M, e^{ikt} depends on k mod M only, so the
-        coefficients fold mod M and one inverse FFT gives every sample.
-        """
-        folded = np.zeros(SUP_NORM_GRID, dtype=np.complex128)
-        ks = np.array(list(self._coeffs), dtype=np.int64)
-        np.add.at(folded, ks % SUP_NORM_GRID, list(self._coeffs.values()))
-        return float(np.abs(np.fft.ifft(folded, norm="forward")).max())
+
+def sup_norm_estimates(ks, coeffs) -> np.ndarray:
+    """Max of |sum_k c_k e^{ikt}| over ``SUP_NORM_GRID`` uniform angles for each
+    row of ``coeffs`` (n, len(ks)), the coefficients of the indices ``ks``.
+
+    On the angles 2 pi j / M, e^{ikt} depends on k mod M only, so the
+    coefficients fold mod M and inverse FFTs of whole row batches give every sample.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    slots = np.asarray(ks, dtype=np.int64) % SUP_NORM_GRID
+    out = np.empty(len(coeffs))
+    for lo in range(0, len(coeffs), SUP_NORM_ROWS):
+        rows = coeffs[lo : lo + SUP_NORM_ROWS]
+        folded = np.zeros((len(rows), SUP_NORM_GRID), dtype=np.complex128)
+        np.add.at(folded.T, slots, rows.T)
+        out[lo : lo + len(rows)] = np.abs(np.fft.ifft(folded, norm="forward")).max(axis=1)
+    return out
 
 
 def apply_function(f: TrigPolynomial, t) -> np.ndarray:
@@ -268,12 +284,13 @@ def signed_powers(t, ks) -> np.ndarray:
 
 
 def hermitian_exp(a, s: float) -> np.ndarray:
-    """Unitary e^{isA} for Hermitian A, via the eigendecomposition of A."""
-    a = as_operator(a)
+    """Unitary e^{isA} for Hermitian A, or for every member of a (k, d, d)
+    stack (each one checked), via one (stacked) eigendecomposition."""
+    a = as_operator_stack(a) if np.ndim(a) == 3 else as_operator(a)
     if not is_hermitian(a):
         raise ValueError("hermitian_exp requires a Hermitian matrix")
     w, q = np.linalg.eigh(a)
-    return (q * np.exp(1j * s * w)) @ q.conj().T
+    return (q * np.exp(1j * s * w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def normal_eig(a: np.ndarray):

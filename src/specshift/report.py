@@ -122,9 +122,9 @@ def write_table(path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
 
 def write_json(path, data) -> None:
     """Strict JSON (a non-finite number raises), indent 1, sorted keys, final newline."""
+    text = json.dumps(data, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv(path, reports: Iterable[VerificationReport]) -> None:

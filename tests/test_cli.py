@@ -13,7 +13,9 @@ from specshift.cli import (
     run_campaign,
     run_diagnose,
 )
-from specshift.report import CSV_COLUMNS, VerificationReport, write_csv, write_reports_json
+from specshift.report import (
+    CSV_COLUMNS, VerificationReport, write_csv, write_json, write_reports_json,
+)
 
 
 class TestConfig:
@@ -434,6 +436,24 @@ class TestReportCommand:
         assert main(["report", "--out", str(out)]) == 1
         printed = capsys.readouterr()
         assert "mult: 0/2 pass" in printed.out and printed.err == ""
+
+
+class TestJsonWriter:
+    def test_same_bytes_as_streaming_json_dump(self, tmp_path):
+        # one encoded string in one write: the bytes json.dump would stream
+        _, reports = run_campaign(CampaignConfig(kind="truncate", trials=3, seed=2,
+                                                 out=str(tmp_path / "o")))
+        reports.append(VerificationReport(kind="mult", lhs=1.5 + 0.5j, rhs=complex(np.nan),
+                                          residual=float("inf"), tol=1e-7, passed=False))
+        data = [rep.to_dict() for rep in reports]
+        write_reports_json(tmp_path / "reports.json", reports)
+        with open(tmp_path / "streamed.json", "w") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        got = (tmp_path / "reports.json").read_bytes()
+        assert got == (tmp_path / "streamed.json").read_bytes()
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "nan.json", {"x": float("nan")})
 
 
 class TestJudge:

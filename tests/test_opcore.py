@@ -24,7 +24,7 @@ from specshift import (
     verify_selfadjoint_formula,
 )
 from specshift import sampling
-from specshift.opcore import SUP_NORM_GRID, as_operator_stack, normal_eig
+from specshift.opcore import SUP_NORM_GRID, as_operator_stack, normal_eig, sup_norm_estimates
 
 SEED = st.integers(0, 2**32 - 1)
 COEFF = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
@@ -232,6 +232,14 @@ class TestTrigPolynomial:
         sup = float(np.abs(grid).max(initial=0.0))
         assert abs(f.sup_norm_estimate() - sup) <= 1e-12 * (1.0 + sup)
 
+    def test_batched_rows_equal_one_polynomial_at_a_time(self):
+        rng = np.random.default_rng(31)
+        ks = [-3, 0, 2, SUP_NORM_GRID + 2]
+        coeffs = sampling.random_coefficients(rng, 5 * len(ks)).reshape(5, len(ks))
+        want = [TrigPolynomial(dict(zip(ks, row))).sup_norm_estimate() for row in coeffs]
+        # rows batched across one FFT may round apart by a few ulps on some builds
+        assert_allclose(sup_norm_estimates(ks, coeffs), want, rtol=1e-15, atol=0.0)
+
 
 class TestApplyFunction:
     def test_constant(self):
@@ -319,6 +327,15 @@ class TestHermitianExp:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_exp(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+    def test_stack_matches_each_member_and_checks_every_one(self):
+        rng = np.random.default_rng(10)
+        stack = np.stack([sampling.random_hermitian(rng, 3) for _ in range(4)])
+        for got, a in zip(hermitian_exp(stack, 0.6), stack, strict=True):
+            assert_allclose(got, hermitian_exp(a, 0.6), atol=1e-14)
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(ValueError):
+            hermitian_exp(stack, 0.6)
 
     @settings(max_examples=25, deadline=None)
     @given(

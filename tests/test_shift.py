@@ -265,6 +265,55 @@ class TestMultiplicativeMoments:
                 assert abs(step.time_fourier(r) - modes[r]) <= 1e-9 * (1.0 + abs(modes[r]))
 
 
+def neidhardt_toeplitz(path: PerturbationPath, top: int) -> np.ndarray:
+    """(top + 1)-square Toeplitz matrix [d_(k-j)] of the multiplicative modes,
+    with d_0 := ||A||_2^2 / 2, the total mass of the shift function."""
+    modes = eta_tilde_moments_mult(path, [r for r in range(-top, top + 1) if r])
+    modes[0] = 0.5 * np.linalg.norm(path.direction) ** 2
+    idx = np.arange(top + 1)
+    return np.array([[modes[k - j] for k in idx] for j in idx])
+
+
+class TestNeidhardtPositivity:
+    """Caratheodory-Toeplitz form of Neidhardt's theorem [NH]: for U = e^{iA} U_0
+    the shift function is a nonnegative measure of mass ||A||_2^2 / 2, so the
+    Toeplitz matrix of its Fourier modes is Hermitian positive semidefinite.
+    Each mode is within QUAD_TOL / |r|, which moves the smallest eigenvalue by
+    at most 2 (1 + ln R) QUAD_TOL."""
+
+    @staticmethod
+    def assert_positive(path: PerturbationPath, top: int):
+        toeplitz = neidhardt_toeplitz(path, top)
+        # eta~ is real, so d_(-r) = conj(d_r) up to the error of the modes
+        assert np.abs(toeplitz - toeplitz.conj().T).max() <= shift.QUAD_TOL
+        lowest = np.linalg.eigvalsh(toeplitz).min()
+        assert lowest >= -2.0 * (1.0 + np.log(top)) * shift.QUAD_TOL, lowest
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), top=st.sampled_from([10, 40]))
+    def test_unitary_base_the_theorem(self, seed, dim, top):
+        rng = np.random.default_rng(seed)
+        u0 = sampling.random_unitary(rng, dim)
+        path = PerturbationPath.multiplicative(u0, sampling.random_hermitian(rng, dim))
+        self.assert_positive(path, top)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 5), top=st.sampled_from([10, 40]))
+    def test_contraction_base_the_observed_extension(self, seed, dim, top):
+        # not a theorem here: the property is observed on random contractions,
+        # norm-one ones included (the paper extends the formula to a class of them)
+        path = sampling.random_multiplicative_path(np.random.default_rng(seed), dim)
+        self.assert_positive(path, top)
+
+    def test_scalar_unitary_is_taylors_formula(self):
+        # d = 1, T_0 = 1, A = a: eta(t) = a - t on [0, a], so d_0 = a^2 / 2 and
+        # the matrix is the Gram matrix of a nonnegative function
+        path = PerturbationPath.multiplicative(np.array([[1.0 + 0j]]), np.array([[2.0 + 0j]]))
+        toeplitz = neidhardt_toeplitz(path, 10)
+        assert toeplitz[0, 0] == 2.0
+        assert np.linalg.eigvalsh(toeplitz).min() > 0.0
+
+
 def gauss_modes(path: PerturbationPath, rs, count: int) -> dict[int, complex]:
     """Oracle for the modes d_r: a ``count``-node Gauss-Legendre rule, one
     ``path.at`` per node and ``np.linalg.matrix_power`` for every power."""
@@ -499,6 +548,22 @@ class TestQuotientBound:
         path = scalar_linear(0.0, 0.5)
         with pytest.raises(ValueError):
             quotient_bound_test(path, trials=0, max_deg=3, seed=0)
+
+    @pytest.mark.parametrize("kind", ["linear", "multiplicative"])
+    def test_stacked_trials_match_the_per_trial_loop(self, kind):
+        # oracle: one random_coefficients draw and one sup_norm_estimate per trial
+        rng = np.random.default_rng(22)
+        path = getattr(sampling, f"random_{kind}_path")(rng, 3)
+        rep = quotient_bound_test(path, trials=60, max_deg=5, seed=9)
+        data = np.array(list(shift.mode_integrals(path, range(1, 7)).values()))
+        draws = np.random.default_rng(9)
+        dir_sq = np.linalg.norm(path.direction) ** 2
+        ratios = []
+        for _ in range(60):
+            coeffs = sampling.random_coefficients(draws, 6)
+            sup = TrigPolynomial(dict(enumerate(coeffs))).sup_norm_estimate()
+            ratios.append(abs(complex(coeffs @ data)) / (0.5 * sup * dir_sq))
+        assert abs(rep.extras["max_ratio"] - max(ratios)) <= 1e-14 * max(ratios)
 
 
 class TestStepFunction:

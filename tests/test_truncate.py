@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from specshift import (
@@ -7,11 +8,17 @@ from specshift import (
     ProjectionSequence,
     TrigPolynomial,
     build_projections,
+    hermitian_exp,
     hs_norm,
+    op_norm,
     reduction_diagnostics,
+    signed_powers,
+    trace_norm,
     truncation_gap,
 )
 from specshift import sampling, truncate
+from specshift.cli import REMAINDER_SLACK, CampaignConfig, run_diagnose
+from specshift.truncate import DIAGNOSTIC_FIELDS, exp_remainder
 
 
 class TestBuildProjections:
@@ -183,3 +190,123 @@ class TestTruncationGap:
         gaps = [row["gap"] for row in rows]
         assert all(np.isfinite(g) for g in gaps)
         assert gaps[-1] <= 1e-12
+
+
+# --- per-rank oracles: the loops that the stacked routes replaced -----------
+
+
+def loop_diagnostics(seq, n0, v, a):
+    dim = seq.ambient_dim
+    eye = np.eye(dim)
+    t0 = n0 + v
+    exp_a = hermitian_exp(a, 1.0)
+    t = exp_a @ t0
+    ks = [k for k in range(-truncate.POWER_CAP, truncate.POWER_CAP + 1) if k != 0]
+    pows_t, pows_t0 = signed_powers(t, ks), signed_powers(t0, ks)
+    norm = op_norm(a)
+    scale = 1.0 if norm == 0.0 else float(np.expm1(norm) / norm)
+    rows = []
+    for rank in seq.ranks:
+        p = seq.projection(rank)
+        q = eye - p
+        a_n = p @ a @ p
+        t0_n = p @ t0 @ p
+        exp_an = hermitian_exp(a_n, 1.0)
+        t_n = exp_an @ t0_n
+        rows.append(
+            {
+                "rank": float(rank),
+                "offcorner_base": hs_norm(q @ n0 @ p),
+                "tail_direction": hs_norm(q @ v),
+                "tail_direction_adj": hs_norm(q @ v.conj().T),
+                "power_gap_final": max(
+                    hs_norm((x - y) @ p) for x, y in zip(pows_t, signed_powers(t_n, ks))
+                ),
+                "power_gap_initial": max(
+                    hs_norm((x - y) @ p) for x, y in zip(pows_t0, signed_powers(t0_n, ks))
+                ),
+                "tail_rotation": hs_norm(q @ (exp_a - eye)),
+                "rotation_gap": hs_norm(p @ (exp_a - exp_an)),
+                "exp_remainder_gap": trace_norm((exp_a - 1j * a - exp_an + 1j * a_n) @ p),
+                "exp_remainder_tail": trace_norm((exp_a - 1j * a - eye) @ q),
+                "exp_remainder_bound": scale * hs_norm(a) * hs_norm(q @ a @ p),
+            }
+        )
+    return rows
+
+
+def loop_gaps(seq, path, p):
+    full = path.second_order_difference(p)
+    gaps = []
+    for rank in seq.ranks:
+        proj = seq.projection(rank)
+        path_n = PerturbationPath(path.kind, proj @ path.base @ proj, proj @ path.direction @ proj)
+        gaps.append(trace_norm(full - proj @ path_n.second_order_difference(p) @ proj))
+    return gaps
+
+
+class TestStackedRoutes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 7),
+        kind=st.sampled_from(["linear", "multiplicative"]),
+        rotate=st.booleans(),
+        data=st.data(),
+    )
+    def test_stacked_routes_match_the_per_rank_loop(self, seed, dim, kind, rotate, data):
+        # every rank ladder ends at rank = dim; multiplicative symbols carry
+        # negative powers, linear ones are analytic
+        ranks = sorted(data.draw(st.sets(st.integers(1, dim - 1)))) + [dim]
+        deg = data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(seed)
+        n0, v, a = TestReductionDiagnostics.fixture(rng, dim)
+        seq = build_projections(n0, ranks, rotate=rotate, seed=seed % 1000)
+        if kind == "linear":
+            path = sampling.random_linear_path(rng, dim)
+            p = sampling.random_analytic_polynomial(rng, deg)
+        else:
+            path = sampling.random_multiplicative_path(rng, dim)
+            p = sampling.random_trig_polynomial(rng, deg)
+            assert min(k for k, _ in p) < 0
+
+        table = reduction_diagnostics(seq, n0, v, a)
+        for got, want in zip(table, loop_diagnostics(seq, n0, v, a), strict=True):
+            assert tuple(got) == DIAGNOSTIC_FIELDS
+            for key, value in want.items():
+                assert abs(got[key] - value) <= 1e-12 * (1.0 + abs(value)), (got["rank"], key)
+        gap, bound = exp_remainder(seq, a)
+        assert [row["exp_remainder_gap"] for row in table] == gap.tolist()
+        assert [row["exp_remainder_bound"] for row in table] == bound.tolist()
+
+        rows = truncation_gap(seq, path, p)
+        assert [row["rank"] for row in rows] == [float(r) for r in ranks]
+        for row, value in zip(rows, loop_gaps(seq, path, p), strict=True):
+            assert abs(row["gap"] - value) <= 1e-12 * (1.0 + abs(value)), row
+
+    def test_projection_stack_matches_each_projection(self):
+        n0 = sampling.random_normal_contraction(np.random.default_rng(12), 5)
+        seq = build_projections(n0, [1, 3, 5], rotate=True, seed=4)
+        for rank, proj in zip(seq.ranks, seq.projections(), strict=True):
+            assert_allclose(proj, seq.projection(rank), atol=1e-15)
+
+    def test_non_hermitian_generator_refused(self):
+        n0 = sampling.random_normal_contraction(np.random.default_rng(13), 3)
+        seq = build_projections(n0, [1, 3])
+        with pytest.raises(ValueError):
+            exp_remainder(seq, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+class TestRemainderBoundRounding:
+    def test_full_rank_row_within_the_verdict_slack(self, tmp_path):
+        # the closed-form bound holds in exact arithmetic; on the full-rank row
+        # of this table both sides are rounding and the computed gap (about
+        # 1e-14) exceeds the computed bound (about 4e-15): the verdict's
+        # REMAINDER_SLACK absorbs it
+        table = run_diagnose(CampaignConfig(seed=7, dims=[8], out=str(tmp_path)))
+        with open(table) as fh:
+            header = fh.readline().strip().split(",")
+            last = dict(zip(header, map(float, fh.readlines()[-1].split(","))))
+        assert last["rank"] == 8.0
+        assert last["exp_remainder_gap"] < 1e-13
+        assert last["exp_remainder_gap"] <= last["exp_remainder_bound"] + REMAINDER_SLACK

@@ -144,11 +144,14 @@ class DissipativePair(_CayleyPair):
 def _verify_polynomial(
     kind: str, path: PerturbationPath, phi: TrigPolynomial, grid: int, seed: int | None
 ) -> VerificationReport:
+    """Line at N = max(deg - 1, 1): both pairings read time_fourier(k), k < deg,
+    moments that a degree-N dilation reproduces and (N + 2) // 2 Gauss nodes
+    integrate exactly (polynomials of degree <= N in s); deg - 2 misses."""
     if not phi.analytic:
         raise ValueError("the transform bridge applies to analytic polynomials")
     start = time.perf_counter()
     lhs = path.second_order_trace(phi)
-    line = gamma_pipeline(path, grid=grid, max_power=max(phi.max_index, 1))
+    line = gamma_pipeline(path, grid=grid, degree=max(phi.max_index - 1, 1))
     rhs_a = line.pairing_second_derivative(phi)
     rhs_b = line.pairing_realline(mobius_polynomial_flux(phi))
     res_ab = abs(rhs_a - rhs_b)
@@ -184,6 +187,8 @@ def verify_selfadjoint_formula(
     output and (b) as a real-line integral of the pulled-back weight against
     xi.  Both residuals enter the verdict: (a) against ``CIRCLE_TOL`` on the
     scale 1 + |lhs|, (a) - (b) against ``REAL_LINE_TOL`` on 1 + |rhs (a)|.
+    (b) is (a) rewritten through lam = tan(t/2), so (a) - (b) checks the Moebius
+    transport; the independent routes are lhs (direct algebra) and the dilations.
     """
     return _verify_polynomial("cayley_sa", pair.circle_path(), phi, grid, seed)
 

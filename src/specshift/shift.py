@@ -17,8 +17,9 @@ cumulative functions, an exact step function in the angle whose Fourier data
 i * time_fourier(r) can be compared with e_r exactly.
 
 The numbers that carry the reduction to finite dimensions are module
-constants, not arguments: the dilation degree margin ``DEGREE_MARGIN`` and
-``QUAD_TOL``, the error target that sets the multiplicative node counts.
+constants, not arguments: ``DEGREE_MARGIN`` (the dilation degree margin of
+``eta`` samples and the :func:`gamma_pipeline` default; the transform verdicts
+take the least exact degree) and ``QUAD_TOL``, the multiplicative error target.
 """
 
 from __future__ import annotations
@@ -394,7 +395,8 @@ class RealLineShift:
 
         A jump at pi lands at tan(pi/2) ~ 1.6e16, where W equals its limit
         at infinity to rounding; a jump at 0 or 2pi lands at lam = 0 and
-        its term vanishes.
+        its term vanishes.  For phi o Mobius, W(tan(t/2)) e^{-it} = 2i phi'(e^{it}):
+        this is :meth:`pairing_second_derivative` rewritten term by term.
         """
         step = self.step
         lam = np.concatenate([[0.0], np.tan(0.5 * step.angles)])
@@ -441,9 +443,10 @@ def gamma_pipeline(
     self-adjoint pair or contractions of a dissipative pair; the path
     constructor has already checked that its endpoints are contractions,
     and the pipeline is exact on any such path.  ``max_power`` bounds the
-    polynomial degree downstream consumers may pair against; ``degree``
-    overrides the dilation degree directly for consumers that integrate
-    non-polynomial weights.  The line records the degree it was built at.
+    polynomial degree downstream consumers may pair against, at dilation
+    degree ``max_power + DEGREE_MARGIN``; ``degree`` sets N directly (moments
+    of order <= N are exact): the least exact N for a polynomial verdict, a
+    higher one for non-polynomial weights.  The line records its degree.
     """
     if path.kind != LINEAR:
         raise ValueError("the circle-to-line pipeline runs over linear paths")

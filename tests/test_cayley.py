@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from specshift import (
@@ -18,8 +19,9 @@ from specshift import (
     verify_resolvent_formula,
     verify_selfadjoint_formula,
 )
-from specshift import cayley, sampling
+from specshift import cayley, sampling, shift
 from specshift.report import write_reports_json
+from specshift.shift import RealLineShift, StepFunction, gamma_pipeline, mobius_polynomial_flux
 
 
 def w_path(pair, s):
@@ -229,6 +231,74 @@ class TestSelfAdjointFormula:
         )
         report = verify_selfadjoint_formula(pair, TrigPolynomial({40: 1.0}), grid=256)
         assert report.passed and report.degree == 40
+
+
+class TestVerdictDegree:
+    """The transform verdicts build their line at N = max(deg - 1, 1): both
+    pairings read the moments of order < deg, which that dilation reproduces
+    and (N + 2) // 2 Gauss nodes integrate exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 6),
+        deg=st.integers(1, 8),
+        selfadjoint=st.booleans(),
+    )
+    def test_line_at_least_exact_degree(self, seed, dim, deg, selfadjoint):
+        rng = np.random.default_rng(seed)
+        if selfadjoint:
+            pair = SelfAdjointPair(sampling.random_hermitian(rng, dim), sampling.random_hermitian(rng, dim))
+            verify = verify_selfadjoint_formula
+        else:
+            pair = DissipativePair(sampling.random_dissipative(rng, dim), sampling.random_dissipative(rng, dim))
+            verify = verify_dissipative_formula
+        phi = sampling.random_analytic_polynomial(rng, deg)
+        stacks = []
+        real = shift.semispectral_cdfs
+
+        def spy(ts, n):
+            stacks.append((len(ts), (n + 1) * ts.shape[-1]))
+            return real(ts, n)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shift, "semispectral_cdfs", spy)
+            rep = verify(pair, phi, grid=512)
+        n = max(phi.max_index - 1, 1)
+        assert stacks == [(1 + (n + 2) // 2, (n + 1) * dim)]
+        scale = 1.0 + abs(rep.lhs)
+        assert rep.passed and rep.residual <= 1e-9 * scale
+        # a line at N = deg + 2, past every moment read, gives the same right side
+        wide = gamma_pipeline(pair.circle_path(), grid=512, degree=phi.max_index + 2)
+        assert abs(wide.pairing_second_derivative(phi) - rep.rhs) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("deg", range(3, 9))
+    def test_one_degree_lower_misses(self, deg):
+        # a line at N = deg - 2 lacks the moment of order deg - 1 that z^deg reads
+        rng = np.random.default_rng(24)
+        pair = SelfAdjointPair(sampling.random_hermitian(rng, 3), sampling.random_hermitian(rng, 3))
+        path, phi = pair.circle_path(), TrigPolynomial({deg: 1.0})
+        lhs = path.second_order_trace(phi)
+        scale = 1.0 + abs(lhs)
+        for n, exact in ((deg - 1, True), (deg - 2, False)):
+            miss = abs(gamma_pipeline(path, grid=512, degree=n).pairing_second_derivative(phi) - lhs)
+            assert (miss <= cayley.CIRCLE_TOL * scale) == exact, (n, miss / scale)
+
+
+class TestRealLineRewrite:
+    def test_realline_pairing_rewrites_the_circle_pairing(self):
+        # W(tan(t/2)) e^{-it} = 2i phi'(e^{it}): for a polynomial phi the real-line
+        # pairing is the circle pairing term by term, on any step function, so
+        # residual_circle_vs_realline checks the Moebius transport, not a second route
+        rng = np.random.default_rng(25)
+        for _ in range(200):
+            jumps = int(rng.integers(1, 40))
+            step = StepFunction(rng.uniform(0.0, 2.0 * np.pi, jumps), sampling.random_coefficients(rng, jumps))
+            line = RealLineShift(step, grid=256)
+            phi = sampling.random_analytic_polynomial(rng, int(rng.integers(1, 13)))
+            a = line.pairing_second_derivative(phi)
+            b = line.pairing_realline(mobius_polynomial_flux(phi))
+            assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
 
 class TestResolventFormula:

@@ -189,8 +189,7 @@ def _trial_dilation(cfg: CampaignConfig, i: int) -> VerificationReport:
     compression = max(hs_norm(gap) for gap in gaps[: degree + 1])
     overshoot = hs_norm(gaps[degree + 1])
     closed = hs_difference_schaffer(t, t0)
-    k_win = max(degree, 1)
-    windowed = hs_norm(schaffer_window(t, k_win) - schaffer_window(t0, k_win))
+    windowed = hs_norm(schaffer_window(t, degree) - schaffer_window(t0, degree))
     residual = abs(closed - windowed)
     negcontrol_ok = is_unitary(t, UNITARY_CONTROL_TOL) or overshoot > OVERSHOOT_MIN
     passed = (

@@ -173,10 +173,6 @@ class TrigPolynomial:
                 cleaned[k] = c
         self._coeffs = dict(sorted(cleaned.items()))
 
-    @property
-    def coeffs(self) -> dict[int, complex]:
-        return dict(self._coeffs)
-
     def coeff(self, k: int) -> complex:
         return self._coeffs.get(k, 0.0 + 0.0j)
 

@@ -18,18 +18,20 @@ computed; each eigenvector comes from the kernel of a 2d x 2d pencil
 (:func:`_dilation_eigs`), and the angle kept is the argument of its
 Rayleigh quotient v* U v.  The members that pass cannot vouch for go
 together through one dense eigensolve of U (:func:`_unitary_eig`, which
-reads :func:`~specshift.opcore.normal_eig`): a singular circulant or
-capacitance matrix, a largest |lam| beyond ``_LAMBDA_MAX`` (the pole
--e^{i theta} sits next to an eigenvalue), an eigen-residual beyond
-``_RESIDUAL_FAIL``, or two eigenangles closer than ``_GAP_MIN`` (a kernel
-then no longer fixes one eigenvector: clusters, T = 0, coincidences at
-unitary T).  The circulant is singular where the pole lies on the block
-shift's spectrum, |1 - (-e^{-i theta})^{N+1}| <= ``_CIRCULANT_MIN``; at
-``_THETA0`` the first such degree is N = 332 (0.0044), where every member
-goes dense and no structured pass runs.  A general unitary
-(:func:`spectral_cdf_unitary`) always takes the dense route.  A stack of
-members (all the dilations of one path) is solved together, in chunks of at
-most ``_CHUNK_ENTRIES`` entries per stacked array.
+reads :func:`~specshift.opcore.normal_eig`): a member whose circulant or
+capacitance matrix is singular, or one with an eigenvector whose error
+bound, the eigen-residual |U v - (v* U v) v| over the gap to the nearest
+other eigenangle (Davis-Kahan), is not below ``_VECTOR_FAIL``.  Whatever
+spoils a vector shows in that bound: the pole -e^{i theta} next to an
+eigenvalue, a broken solve (NaN), or eigenangles too close for a kernel to
+fix one eigenvector (clusters, T = 0, coincidences at unitary T).  The
+circulant is singular where the pole lies on the block shift's spectrum,
+|1 - (-e^{-i theta})^{N+1}| <= ``_CIRCULANT_MIN``; at ``_THETA0`` the
+first such degree is N = 332 (0.0044), where every member goes dense and
+no structured pass runs.  A general unitary (:func:`spectral_cdf_unitary`)
+always takes the dense route.  A stack of members (all the dilations of one
+path) is solved together, in chunks whose Cayley matrices and whose
+bordered kernel systems each hold at most ``_CHUNK_ENTRIES`` entries.
 """
 
 from __future__ import annotations
@@ -63,13 +65,11 @@ MOMENT_FAIL = 1e-7        # internal-consistency threshold for dilated CDFs
 _DROP_TOL = 1e-12         # compressed blocks below this norm carry no mass
 
 _THETA0 = 0.5             # the rotation: its pole -e^{i theta} is off +-1 and +-i
-_LAMBDA_MAX = 1e6         # a larger |lam| means the pole sat next to an eigenvalue: dense solve
-_RESIDUAL_FAIL = 1e-8     # |U v - (v* U v) v| beyond this: the solve broke down
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))  # phase step of the kernels' border vector
 _CHUNK_ENTRIES = 1 << 16  # most matrix entries one stacked array may hold
-_GAP_MIN = 1e-6           # closer eigenangles blur kernel eigenvectors (eps/gap): dense solve
 _CIRCULANT_MIN = 1e-2     # smaller |1 - (-c)^(N+1)|: the pole sits on the shift's spectrum
 _VECTOR_TOL = 1e-12       # eigenvector error bound beyond which the kernel step is redone
+_VECTOR_FAIL = 1e-8       # eigenvector error bound, after the redo, not below this: dense solve
 
 
 class MomentConsistencyError(RuntimeError):
@@ -227,23 +227,17 @@ def _rayleigh(js: np.ndarray, n: int, z: np.ndarray, x: np.ndarray):
 def _kernels(bordered: np.ndarray, js: np.ndarray, n: int, owner: np.ndarray, z: np.ndarray):
     """Rayleigh data of one bordered kernel solve per eigenvalue z of member ``owner``.
 
-    ``bordered`` holds each member's [[K(0), b], [b*, 0]]; the stacks of
-    K(z) are solved in slices of at most ``_CHUNK_ENTRIES`` entries.
+    ``bordered`` holds each member's [[K(0), b], [b*, 0]]; the stack of
+    K(z) is solved at once, its size bounded by the chunk of members.
     """
     d2 = js.shape[-1]
     diag = np.arange(d2)
-    shift = np.where(diag < d2 // 2, z[:, None], -(z**n)[:, None])
+    kz = bordered[owner]
+    kz[:, diag, diag] += np.where(diag < d2 // 2, z[:, None], -(z**n)[:, None])
     rhs = np.zeros((d2 + 1, 1))
     rhs[d2] = 1.0
-    rows = max(1, _CHUNK_ENTRIES // (d2 + 1) ** 2)
-    parts = []
-    for lo in range(0, z.size, rows):
-        sl = slice(lo, lo + rows)
-        kz = bordered[owner[sl]]
-        kz[:, diag, diag] += shift[sl]
-        x = _solve_or_nan(kz, np.broadcast_to(rhs, kz.shape[:-1] + (1,)))[:, :d2, 0]
-        parts.append(_rayleigh(js[owner[sl]], n, z[sl], x))
-    return [np.concatenate(p) for p in zip(*parts)]
+    x = _solve_or_nan(kz, np.broadcast_to(rhs, kz.shape[:-1] + (1,)))[:, :d2, 0]
+    return _rayleigh(js[owner], n, z, x)
 
 
 def _dilation_eigs(js: np.ndarray, n: int):
@@ -264,10 +258,10 @@ def _dilation_eigs(js: np.ndarray, n: int):
 
     The members this pass cannot vouch for go through one dense
     :func:`_unitary_eig` of their dilation unitaries: a singular circulant
-    or capacitance matrix, a largest |lam| beyond ``_LAMBDA_MAX`` (the pole
-    sits next to an eigenvalue), an eigen-residual |U v - (v* U v) v|
-    beyond ``_RESIDUAL_FAIL`` (the solve broke down), or two eigenangles
-    closer than ``_GAP_MIN`` (a kernel no longer fixes one eigenvector).
+    or capacitance matrix, or an eigenvector whose bound residual / gap,
+    the gap taken before the second solve, is not below ``_VECTOR_FAIL``.
+    A NaN residual (a singular kernel solve) or a zero gap fails that
+    comparison, so neither needs a rule of its own.
     """
     k, d2, _ = js.shape
     h = _dilation_cayley(js, n, _THETA0)
@@ -290,7 +284,8 @@ def _dilation_eigs(js: np.ndarray, n: int):
     z = np.exp(1j * (_THETA0 + 2.0 * np.arctan(lam))).ravel()
     quot, u, residual = _kernels(bordered, js, n, owner, z)
     # a unit eigenvector is off by at most residual / (gap to its neighbours)
-    again = residual > _VECTOR_TOL * _nearest_gaps(np.angle(quot).reshape(k, m)).ravel()
+    gaps = _nearest_gaps(np.angle(quot).reshape(k, m)).ravel()
+    again = residual > _VECTOR_TOL * gaps
     if again.any():
         q = quot[again]
         quot[again], u[again], residual[again] = _kernels(
@@ -298,12 +293,7 @@ def _dilation_eigs(js: np.ndarray, n: int):
         )
     ang = np.angle(quot).reshape(k, m)
     lead = np.swapaxes(u.reshape(k, m, -1), 1, 2)
-    dense = (
-        singular
-        | (np.abs(lam).max(axis=1) > _LAMBDA_MAX)
-        | ~(residual.reshape(k, m).max(axis=1) <= _RESIDUAL_FAIL)
-        | (_circle_gaps(ang)[1].min(axis=1) < _GAP_MIN)
-    )
+    dense = singular | ~(residual < _VECTOR_FAIL * gaps).reshape(k, m).all(axis=1)
     if dense.any():
         ang[dense], vec = _unitary_eig(unitaries_from_julia(js[dense], n))
         lead[dense] = vec[:, : lead.shape[1]]
@@ -375,9 +365,9 @@ def semispectral_cdfs(ts, n: int) -> list[SemiSpectralCDF]:
     beyond ``MOMENT_FAIL`` raises :class:`MomentConsistencyError`).  Callers
     must pick N at least as large as the highest power they intend to
     integrate.  Members go through the eigensolve in chunks whose Cayley
-    matrices hold at most ``_CHUNK_ENTRIES`` entries, and their kernel
-    stacks go through in slices of that size, so memory stays bounded for
-    any stack length.
+    matrices (m x m each) and bordered kernel systems (m of (2d+1) x (2d+1)
+    each) hold at most ``_CHUNK_ENTRIES`` entries per stack, so memory stays
+    bounded for any stack length.
     """
     ts = as_operator_stack(ts)
     if n < 1:
@@ -385,7 +375,7 @@ def semispectral_cdfs(ts, n: int) -> list[SemiSpectralCDF]:
     js = julia_operators(ts)
     d = ts.shape[1]
     m = (n + 1) * d
-    per = max(1, _CHUNK_ENTRIES // m**2)
+    per = max(1, _CHUNK_ENTRIES // (m * max(m, (2 * d + 1) ** 2)))
     cdfs: list[SemiSpectralCDF] = []
     for lo in range(0, ts.shape[0], per):
         ang, lead = _dilation_eigs(js[lo : lo + per], n)

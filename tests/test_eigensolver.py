@@ -31,6 +31,7 @@ from numpy.testing import assert_allclose
 
 from specshift import MomentConsistencyError, n_dilation, sampling
 from specshift import SelfAdjointPair, semispectral, shift_step_representation
+from specshift.cli import CampaignConfig, run_campaign
 from specshift.dilation import julia_operators, unitaries_from_julia
 from specshift.opcore import CONTRACTION_TOL, is_unitary
 from specshift.semispectral import (
@@ -154,8 +155,8 @@ class TestUnitaryAgainstSchur:
 
     @pytest.mark.parametrize("gap", [1e-8, 1e-7, 3e-7])
     def test_close_distinct_eigenvalues_keep_unit_mass(self, gap):
-        # closer than _GAP_MIN, not one cluster: the dense solve keeps the
-        # orthonormal Schur vectors of the pair, so the jumps sum to I
+        # closer than any kernel vector could resolve, not one cluster: the
+        # dense solve keeps orthonormal vectors of the pair, so the jumps sum to I
         cdf = spectral_cdf_unitary(unitary_with_angles(0, [0.1, 0.1 + gap, 2.0]))
         assert cdf.angles.size == 3
         assert_allclose(cdf.blocks.sum(axis=0), np.eye(3), rtol=0, atol=1e-12)
@@ -409,8 +410,9 @@ class TestStructuredRoute:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_close_dilation_eigenvalues_keep_unit_mass(self, monkeypatch, n, eps):
         # lam^{N+1} = -e^{i eps}: the dilation of this unitary T has two
-        # eigenvalues about eps apart, closer than _GAP_MIN but not one
-        # cluster, so the member takes the dense route
+        # eigenvalues about eps apart, not one cluster; the bound residual /
+        # eps of their kernel vectors is not below _VECTOR_FAIL, so the
+        # member takes the dense route
         t = unitary_with_angles(1, [(np.pi + eps) / (n + 1), 0.7])
         calls = spy_dense(monkeypatch)
         cdf = semispectral_cdf(t, n)
@@ -465,9 +467,9 @@ class TestStructuredRoute:
         pick=st.floats(0.0, 1.0, exclude_max=True),
     )
     def test_pole_next_to_an_eigenvalue(self, seed, dim, n, kind, delta, pick):
-        # the pole delta from one eigenangle: |lam| near 2/|delta| takes the
-        # member to the dense route beyond _LAMBDA_MAX and leaves it to the
-        # structured one below; the jumps are the same either way
+        # the pole delta from one eigenangle, |lam| near 2/|delta|: the bound
+        # residual / gap decides whether the member goes dense; the jumps are
+        # the same either way
         ts = edge_contraction(np.random.default_rng(seed), kind, dim)[None]
         ang, _ = semispectral._unitary_eig(unitaries(ts, n))
         assume(semispectral._circle_gaps(ang)[1].min() >= 1e-4)
@@ -489,6 +491,15 @@ class TestStructuredRoute:
             step = shift_step_representation(pair.circle_path(), max_power=36, degree=36)
             assert step.angles.size > 0
         assert calls == []
+
+    @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
+    def test_transform_campaigns_take_no_dense_solve(self, monkeypatch, tmp_path, kind):
+        # the benchmark's transform campaigns: seed 1, default dims and degrees
+        calls = spy_dense(monkeypatch)
+        tried = spy_structured(monkeypatch)
+        status, _ = run_campaign(CampaignConfig(kind=kind, seed=1, out=str(tmp_path)))
+        assert status == 0
+        assert tried and calls == []
 
 
 class TestRetryPath:
@@ -516,18 +527,21 @@ class TestRetryPath:
 
     @pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9])
     def test_eigenvalue_on_first_pole_is_retried(self, monkeypatch, offset):
-        # |lam| beyond _LAMBDA_MAX (or a singular Cayley matrix): dense, alone
+        # on the pole the bound residual / gap fails: dense, alone.  1e-9 off
+        # it (|lam| about 2e9) the second kernel solve, at the Rayleigh
+        # quotient, leaves a vector whose bound passes: no dense solve
         dense = spy_dense(monkeypatch)
         tried = spy_structured(monkeypatch)
         ts = self.pole_stack(offset)
         cdfs = semispectral_cdfs(ts, 4)
         self.assert_one_structured_solve(tried, ts)
-        assert dense == [1]
+        assert dense == ([1] if offset == 0.0 else [])
         self.assert_matches_dilation_oracle(ts, cdfs, 4)
 
     @pytest.mark.parametrize("offset", [1e-5, -1e-5])
     def test_eigenvalue_near_first_pole_is_solved_once(self, monkeypatch, offset):
-        # |lam| about 2e5, below _LAMBDA_MAX: the structured solve vouches for it
+        # |lam| about 2e5, the bound residual / gap passes: the structured
+        # solve vouches for it
         dense = spy_dense(monkeypatch)
         tried = spy_structured(monkeypatch)
         ts = self.pole_stack(offset)
@@ -535,6 +549,22 @@ class TestRetryPath:
         self.assert_one_structured_solve(tried, ts)
         assert dense == []
         self.assert_matches_dilation_oracle(ts, cdfs, 4)
+
+    def test_vector_bound_decides_the_dense_members(self, monkeypatch):
+        # the bound residual / gap alone sends members dense: at the default
+        # every vector of a random stack passes it, at _VECTOR_FAIL = 0 none
+        # does, and the whole stack goes through one dense solve
+        rng = np.random.default_rng(4)
+        ts = np.stack([sampling.random_contraction(rng, 3) for _ in range(5)])
+        want = dense_jumps(ts, 6)
+        js = julia_operators(ts)
+        dense = spy_dense(monkeypatch)
+        semispectral._dilation_eigs(js, 6)
+        assert dense == []
+        monkeypatch.setattr(semispectral, "_VECTOR_FAIL", 0.0)
+        ang, lead = semispectral._dilation_eigs(js, 6)
+        assert dense == [5]
+        assert_same_jumps(semispectral._jump_lists(ang, lead, -1.0), want, 0.0)
 
     def test_only_the_bad_member_is_retried(self, monkeypatch):
         dense = []

@@ -16,9 +16,8 @@ from .opcore import (
     op_norm,
     power_ladder,
     signed_powers,
-    trace_norm,
 )
-from .paths import PerturbationPath, difference_quotient_residual, monomial_bound_constant
+from .paths import PerturbationPath
 from .dilation import (
     DilationError,
     NDilation,
@@ -39,7 +38,6 @@ from .shift import (
     RealLineShift,
     StepFunction,
     eta_moment_linear,
-    eta_moments_linear,
     eta_tilde_moments_mult,
     gamma_pipeline,
     mode_integrals,

@@ -151,7 +151,7 @@ def _verify_polynomial(
         raise ValueError("the transform bridge applies to analytic polynomials")
     start = time.perf_counter()
     lhs = path.second_order_trace(phi)
-    line = gamma_pipeline(path, grid=grid, degree=max(phi.max_index - 1, 1))
+    line = gamma_pipeline(path, max(phi.max_index - 1, 1), grid=grid)
     rhs_a = line.pairing_second_derivative(phi)
     rhs_b = line.pairing_realline(mobius_polynomial_flux(phi))
     res_ab = abs(rhs_a - rhs_b)
@@ -214,7 +214,7 @@ def resolvent_pipeline(
     Build once and hand to :func:`verify_resolvent_formula` when checking
     several points z for the same pair.
     """
-    return gamma_pipeline(pair.circle_path(), grid=grid, max_power=degree, degree=degree)
+    return gamma_pipeline(pair.circle_path(), degree, grid=grid)
 
 
 def verify_resolvent_formula(

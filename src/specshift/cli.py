@@ -32,6 +32,7 @@ from .paths import LINEAR, PerturbationPath
 from .report import VerificationReport, write_csv, write_json, write_reports_json, write_table
 from .shift import (
     DEFAULT_GRID,
+    DEGREE_MARGIN,
     TRACE_TOL_LINEAR,
     TRACE_TOL_MULT,
     PipelineError,
@@ -330,7 +331,7 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
         cols = (t, vals.real, vals.imag)
     else:
         path = _sample_pair(rng, cfg.kind, dim, cfg.zero_direction).circle_path()
-        line = gamma_pipeline(path, grid=cfg.grid, max_power=max_deg)
+        line = gamma_pipeline(path, max_deg + DEGREE_MARGIN, grid=cfg.grid)
         step = line.step
         t = (np.arange(cfg.grid) + 0.5) * (2.0 * np.pi / cfg.grid)
         lam = np.tan(0.5 * t)

@@ -91,8 +91,6 @@ class NDilation:
     construction is tight.
     """
 
-    degree: int
-    embed_dim: int
     unitary: np.ndarray = field(repr=False)
 
 
@@ -154,4 +152,4 @@ def n_dilation(t, n: int) -> NDilation:
     """
     t = as_operator(t)
     u = unitaries_from_julia(julia_operators(t[None]), n)[0]
-    return NDilation(degree=n, embed_dim=t.shape[0], unitary=u)
+    return NDilation(unitary=u)

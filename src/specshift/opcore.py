@@ -24,7 +24,6 @@ __all__ = [
     "as_operator",
     "as_operator_stack",
     "hs_norm",
-    "trace_norm",
     "op_norm",
     "is_contraction",
     "is_hermitian",
@@ -84,14 +83,6 @@ def as_operator_stack(ms) -> np.ndarray:
 def hs_norm(m) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(as_operator(m)))
-
-
-def trace_norm(m) -> float:
-    """Trace norm: sum of singular values.
-
-    Raises ``numpy.linalg.LinAlgError`` if the SVD fails to converge.
-    """
-    return float(np.linalg.svd(as_operator(m), compute_uv=False).sum())
 
 
 def op_norm(m) -> float:

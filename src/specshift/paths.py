@@ -7,8 +7,6 @@ Two path families are supported on s in [0, 1]:
 
 The derivative of f(T_s) at s = 0 is read off one evaluation of f on the
 2x2 block operator [[T_0, Y], [0, T_0]], Y the velocity of the path at 0.
-An independent difference-quotient residual is provided as the oracle
-against which that derivative is checked.
 """
 
 from __future__ import annotations
@@ -21,10 +19,9 @@ from .opcore import (
     as_operator,
     is_contraction,
     is_hermitian,
-    trace_norm,
 )
 
-__all__ = ["PerturbationPath", "difference_quotient_residual", "monomial_bound_constant"]
+__all__ = ["PerturbationPath"]
 
 LINEAR = "linear"
 MULTIPLICATIVE = "multiplicative"
@@ -115,28 +112,3 @@ class PerturbationPath:
     def second_order_trace(self, f: TrigPolynomial) -> complex:
         """Tr{ f(T_1) - f(T_0) - (d/ds) f(T_s) |_{s=0} }."""
         return complex(np.trace(self.second_order_difference(f)))
-
-
-def difference_quotient_residual(path: PerturbationPath, f: TrigPolynomial, t: float) -> float:
-    """Trace-norm gap between (f(T_t) - f(T_0))/t and the Gateaux derivative.
-
-    The oracle side: multiplicative quotients use the exact Hermitian
-    exponential, never a series truncation.
-    """
-    if not 0.0 < t <= 1.0:
-        raise ValueError("difference-quotient step must lie in (0, 1]")
-    quotient = (apply_function(f, path.at(t)) - apply_function(f, path.base)) / t
-    return trace_norm(quotient - path.gateaux(f))
-
-
-def monomial_bound_constant(path: PerturbationPath, r: int) -> float:
-    """For a linear path and f = z^r: the constant B with residual(t) <= B t.
-
-    B = sum_{j=0}^{r-2} sum_{k=0}^{r-j-2} ||V||_2^2 = r(r-1)/2 * ||V||_2^2.
-    """
-    if path.kind != LINEAR:
-        raise ValueError("closed-form bound constant is for linear paths")
-    if r < 2:
-        return 0.0
-    v2 = float(np.linalg.norm(path.direction)) ** 2
-    return 0.5 * r * (r - 1) * v2

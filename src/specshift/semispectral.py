@@ -119,13 +119,16 @@ def _wrap_angles(ang: np.ndarray) -> np.ndarray:
 
 
 def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # stacked solve; a member (leading index) whose system is singular comes back as NaN
+    # stacked solve; a member (leading index) whose system is singular comes back
+    # as NaN.  slogdet runs the LU factorization that solve runs, so a zero sign
+    # flags exactly the members that make solve raise; the rest take one more call
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        if a.ndim == 2:
-            return np.full_like(b, np.nan)
-        return np.stack([_solve_or_nan(aj, bj) for aj, bj in zip(a, b)])
+        ok = np.linalg.slogdet(a)[0] != 0
+        out = np.full(b.shape, np.nan, dtype=np.result_type(a, b))
+        out[ok] = np.linalg.solve(a[ok], b[ok])
+        return out
 
 
 def _circle_gaps(ang: np.ndarray):

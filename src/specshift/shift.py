@@ -18,8 +18,8 @@ i * time_fourier(r) can be compared with e_r exactly.
 
 The numbers that carry the reduction to finite dimensions are module
 constants, not arguments: ``DEGREE_MARGIN`` (the dilation degree margin of
-``eta`` samples and the :func:`gamma_pipeline` default; the transform verdicts
-take the least exact degree) and ``QUAD_TOL``, the multiplicative error target.
+``eta`` samples; the transform verdicts take the least exact degree) and
+``QUAD_TOL``, the multiplicative error target.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "PipelineError",
     "mode_integrals",
     "eta_moment_linear",
-    "eta_moments_linear",
     "eta_tilde_moments_mult",
     "shift_step_representation",
     "verify_trace_formula_linear",
@@ -112,17 +111,9 @@ class StepFunction:
             np.sum(self.heights * (1.0 - np.exp(1j * k * self.angles)) / (1j * k))
         )
 
-    def contour_moment(self, m: int) -> complex:
-        """Exact contour integral of z^m f against dz on the circle."""
-        return 1j * self.time_fourier(m + 1)
-
     @property
     def total_variation(self) -> float:
         return float(np.abs(self.heights).sum())
-
-
-def _dilation_degree(max_power: int, degree: int | None) -> int:
-    return max(degree if degree is not None else max_power + DEGREE_MARGIN, 1)
 
 
 def _path_points(path: PerturbationPath, nodes) -> np.ndarray:
@@ -171,7 +162,7 @@ def shift_step_representation(
     integrand is entire, and its powers |r| <= N take the nodes of
     :func:`_mult_node_count`.
     """
-    n = _dilation_degree(max_power, degree)
+    n = max(degree if degree is not None else max_power + DEGREE_MARGIN, 1)
     count = (n + 2) // 2 if path.kind == LINEAR else _mult_node_count(path, n)
     nodes, weights = gauss_legendre_01(count)
     cdfs = semispectral_cdfs(_path_points(path, nodes), n)
@@ -204,21 +195,14 @@ def mode_integrals(path: PerturbationPath, rs) -> dict[int, complex]:
     return {r: complex(val / r) for r, val in zip(rs, _trace_integrals(path, count, rs))}
 
 
-def eta_moments_linear(path: PerturbationPath, ms) -> dict[int, complex]:
-    """Contour moments c_m = e_(m+1), m in ``ms``, of the linear-path shift
-    function, exactly (:func:`mode_integrals`)."""
+def eta_moment_linear(path: PerturbationPath, m: int) -> complex:
+    """Contour moment c_m = e_(m+1) of the linear-path shift function, exactly
+    (:func:`mode_integrals`)."""
     if path.kind != LINEAR:
         raise ValueError("moment route is defined for linear paths")
-    ms = [int(m) for m in ms]
-    if any(m < 0 for m in ms):
+    if m < 0:
         raise ValueError("contour moments are indexed by m >= 0")
-    return {r - 1: e for r, e in mode_integrals(path, [m + 1 for m in ms]).items()}
-
-
-def eta_moment_linear(path: PerturbationPath, m: int) -> complex:
-    """Contour moment c_m of the linear-path shift function, exactly: the
-    one-member case of :func:`eta_moments_linear`, reproducible bit for bit."""
-    return eta_moments_linear(path, [m])[m]
+    return mode_integrals(path, [m + 1])[m + 1]
 
 
 def eta_tilde_moments_mult(path: PerturbationPath, rs) -> dict[int, complex]:
@@ -431,27 +415,22 @@ class RealLineShift:
             )
 
 
-def gamma_pipeline(
-    path: PerturbationPath,
-    grid: int = DEFAULT_GRID,
-    max_power: int = 8,
-    degree: int | None = None,
-) -> RealLineShift:
+def gamma_pipeline(path: PerturbationPath, degree: int, grid: int = DEFAULT_GRID) -> RealLineShift:
     """Transport a linear pair's shift function to the real line.
 
     Intended for paths between Cayley transforms, unitary ones of a
     self-adjoint pair or contractions of a dissipative pair; the path
     constructor has already checked that its endpoints are contractions,
-    and the pipeline is exact on any such path.  ``max_power`` bounds the
-    polynomial degree downstream consumers may pair against, at dilation
-    degree ``max_power + DEGREE_MARGIN``; ``degree`` sets N directly (moments
-    of order <= N are exact): the least exact N for a polynomial verdict, a
-    higher one for non-polynomial weights.  The line records its degree.
+    and the pipeline is exact on any such path.  ``degree`` is the dilation
+    degree N >= 1 (moments of order <= N are exact): the least exact N for a
+    polynomial verdict, a higher one for non-polynomial weights.  The line
+    records its degree.
     """
     if path.kind != LINEAR:
         raise ValueError("the circle-to-line pipeline runs over linear paths")
+    if degree < 1:
+        raise ValueError("dilation degree must be at least 1")
     if grid < 256:
         raise ValueError("grid must have at least 256 points")
-    n = _dilation_degree(max_power, degree)
-    step = shift_step_representation(path, max_power, degree=n)
-    return RealLineShift(step, grid=grid, degree=n)
+    step = shift_step_representation(path, degree, degree=degree)
+    return RealLineShift(step, grid=grid, degree=degree)

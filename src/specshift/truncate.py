@@ -70,10 +70,6 @@ class ProjectionSequence:
         if any(b <= a for a, b in zip(self.ranks, self.ranks[1:])):
             raise ValueError("ranks must be strictly increasing")
 
-    def projection(self, rank: int) -> np.ndarray:
-        cols = self.basis[:, :rank]
-        return cols @ cols.conj().T
-
     def projections(self) -> np.ndarray:
         """(R, d, d) stack of the projections, one per rank."""
         cols = self.basis * (np.arange(self.ambient_dim) < np.array(self.ranks)[:, None, None])

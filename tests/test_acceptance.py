@@ -16,13 +16,11 @@ from specshift import (
     SelfAdjointPair,
     TrigPolynomial,
     build_projections,
-    difference_quotient_residual,
     eta_moment_linear,
     hs_difference_schaffer,
     hs_norm,
     is_unitary,
     reduction_diagnostics,
-    monomial_bound_constant,
     n_dilation,
     quotient_bound_test,
     schaffer_window,
@@ -37,6 +35,8 @@ from specshift import (
 from specshift import sampling
 from specshift.cayley import resolvent_pipeline
 from specshift.cli import CampaignConfig, run_campaign
+
+from oracles import difference_quotient_residual, monomial_bound_constant
 
 
 def announce(number: int, label: str, ok: bool, detail: str = ""):
@@ -116,7 +116,7 @@ def test_criterion_04_route_agreement():
         path = sampling.random_linear_path(rng, d)
         step = shift_step_representation(path, max_power=7, degree=9)
         for m in range(7):
-            worst = max(worst, abs(step.contour_moment(m) - eta_moment_linear(path, m)))
+            worst = max(worst, abs(1j * step.time_fourier(m + 1) - eta_moment_linear(path, m)))
     announce(
         4,
         "pointwise vs moment route, 50 cases, m <= 6",

@@ -269,7 +269,7 @@ class TestVerdictDegree:
         scale = 1.0 + abs(rep.lhs)
         assert rep.passed and rep.residual <= 1e-9 * scale
         # a line at N = deg + 2, past every moment read, gives the same right side
-        wide = gamma_pipeline(pair.circle_path(), grid=512, degree=phi.max_index + 2)
+        wide = gamma_pipeline(pair.circle_path(), phi.max_index + 2, grid=512)
         assert abs(wide.pairing_second_derivative(phi) - rep.rhs) <= 1e-9 * scale
 
     @pytest.mark.parametrize("deg", range(3, 9))
@@ -281,7 +281,7 @@ class TestVerdictDegree:
         lhs = path.second_order_trace(phi)
         scale = 1.0 + abs(lhs)
         for n, exact in ((deg - 1, True), (deg - 2, False)):
-            miss = abs(gamma_pipeline(path, grid=512, degree=n).pairing_second_derivative(phi) - lhs)
+            miss = abs(gamma_pipeline(path, n, grid=512).pairing_second_derivative(phi) - lhs)
             assert (miss <= cayley.CIRCLE_TOL * scale) == exact, (n, miss / scale)
 
 

@@ -32,9 +32,8 @@ def centre_power(window: np.ndarray, d: int, power: int) -> np.ndarray:
     return block(np.linalg.matrix_power(window, power), d, 0, 0)
 
 
-def compression(dil, k: int) -> np.ndarray:
-    """Leading block of the k-th power of an N-dilation."""
-    d = dil.embed_dim
+def compression(dil, d: int, k: int) -> np.ndarray:
+    """Leading d x d block of the k-th power of an N-dilation."""
     return np.linalg.matrix_power(dil.unitary, k)[:d, :d]
 
 
@@ -132,7 +131,7 @@ class TestNDilation:
         dil = n_dilation(u, 1)
         eye = np.eye(dil.unitary.shape[0])
         assert hs_norm(dil.unitary.conj().T @ dil.unitary - eye) < 1e-9
-        assert_allclose(compression(dil, 1), u, atol=1e-9)
+        assert_allclose(compression(dil, 3, 1), u, atol=1e-9)
 
     def test_zero_scalar_cyclic_structure(self):
         dil = n_dilation(np.zeros((1, 1)), 3)
@@ -144,11 +143,11 @@ class TestNDilation:
         perm[3, 2] = 1.0
         assert_allclose(dil.unitary, perm, atol=1e-14)
         for k in range(1, 4):
-            assert abs(compression(dil, k)[0, 0]) < 1e-14
+            assert abs(compression(dil, 1, k)[0, 0]) < 1e-14
 
     def test_scalar_half_squared(self):
         dil = n_dilation(np.array([[0.5]]), 2)
-        assert compression(dil, 2)[0, 0] == pytest.approx(0.25)
+        assert compression(dil, 1, 2)[0, 0] == pytest.approx(0.25)
 
     def test_unitarity_and_compression_random(self):
         rng = np.random.default_rng(11)
@@ -160,7 +159,7 @@ class TestNDilation:
             eye = np.eye((n + 1) * d)
             assert hs_norm(dil.unitary.conj().T @ dil.unitary - eye) < 1e-9
             for k in range(n + 1):
-                assert_allclose(compression(dil, k), np.linalg.matrix_power(t, k), atol=1e-9)
+                assert_allclose(compression(dil, d, k), np.linalg.matrix_power(t, k), atol=1e-9)
 
     def test_negative_control_overshoot_formula(self):
         # at k = N+1 exactly one boundary path contributes: D_T* D_T
@@ -171,7 +170,7 @@ class TestNDilation:
             t = sampling.random_contraction(rng, d)
             dil = n_dilation(t, n)
             pair = defects(t)
-            overshoot = compression(dil, n + 1) - np.linalg.matrix_power(t, n + 1)
+            overshoot = compression(dil, d, n + 1) - np.linalg.matrix_power(t, n + 1)
             assert_allclose(overshoot, pair.d_tstar @ pair.d_t, atol=1e-12)
             assert hs_norm(overshoot) > 1e-8  # tight construction
 

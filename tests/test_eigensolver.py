@@ -585,16 +585,16 @@ class TestRetryPath:
     def test_singular_solve_is_retried(self, monkeypatch):
         # the dilations of these unitaries with eigenvalue -1 have a repeated
         # eigenvalue and make a bordered kernel system exactly singular: the
-        # stacked solve falls back to member by member, the member's vector
-        # comes back NaN, nothing warns on the way, and the member goes
-        # dense after its one structured solve, since no rotation can help
+        # stacked solve raises, the member's vector comes back NaN, nothing
+        # warns on the way, and the member goes dense after its one
+        # structured solve, since no rotation can help
         singular = []
         original = semispectral._solve_or_nan
 
         def wrapped(a, b):
-            if a.ndim == 2:  # one member, retried after its stack failed
-                singular.append(a.shape)
-            return original(a, b)
+            out = original(a, b)
+            singular.extend(np.flatnonzero(np.isnan(out).any(axis=(1, 2))))
+            return out
 
         monkeypatch.setattr(semispectral, "_solve_or_nan", wrapped)
         dense = spy_dense(monkeypatch)
@@ -620,6 +620,28 @@ class TestRetryPath:
         x = semispectral._solve_or_nan(a, b)
         assert np.isnan(x[1]).all()
         assert_allclose(x[[0, 2]], [0.5 * b[0], b[2]], rtol=0, atol=0)
+
+    def test_singular_member_costs_one_more_stacked_solve(self, monkeypatch):
+        # one zero system in a stack: only it comes back NaN, the others are
+        # bit for bit their solve alone, and no per-member loop runs
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=(40, 5, 5)) + 1j * rng.normal(size=(40, 5, 5))
+        a[17] = 0.0
+        b = rng.normal(size=(40, 5, 2))
+        rest = np.arange(40) != 17
+        want = np.linalg.solve(a[rest], b[rest])
+        calls = []
+        original = np.linalg.solve
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return original(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        x = semispectral._solve_or_nan(a, b)
+        assert np.isnan(x[17]).all() and not np.isnan(x[rest]).any()
+        assert np.array_equal(x[rest], want)
+        assert len(calls) <= 2
 
 
 class TestBatch:

@@ -20,7 +20,6 @@ from specshift import (
     shift_step_representation,
     signed_powers,
     spectral_cdf_unitary,
-    trace_norm,
     verify_selfadjoint_formula,
 )
 from specshift import sampling
@@ -94,21 +93,6 @@ class TestNorms:
         # direct entrywise sum: sqrt(9 + 16)
         assert hs_norm(m) == pytest.approx(np.sqrt(sum(abs(x) ** 2 for x in m.ravel())))
         assert hs_norm(m) == pytest.approx(5.0)
-
-    def test_trace_norm_identity(self):
-        assert trace_norm(np.eye(3)) == pytest.approx(3.0)
-
-    def test_trace_norm_rank_one(self):
-        rng = np.random.default_rng(0)
-        u = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        assert trace_norm(np.outer(u, v.conj())) == pytest.approx(1.0)
-
-    def test_trace_norm_diagonal_moduli(self):
-        # singular values of a diagonal are the moduli of its entries
-        assert trace_norm(np.diag([1.0, -2.0, 3.0j])) == pytest.approx(6.0)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

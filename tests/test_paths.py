@@ -7,12 +7,12 @@ from specshift import (
     PerturbationPath,
     TrigPolynomial,
     apply_function,
-    difference_quotient_residual,
     hs_norm,
-    monomial_bound_constant,
     power_ladder,
 )
 from specshift import sampling
+
+from oracles import difference_quotient_residual, monomial_bound_constant
 
 
 def scalar_path(base: float, direction: float, kind="linear") -> PerturbationPath:

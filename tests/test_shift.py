@@ -11,7 +11,6 @@ from specshift import (
     StepFunction,
     TrigPolynomial,
     eta_moment_linear,
-    eta_moments_linear,
     eta_tilde_moments_mult,
     gamma_pipeline,
     gauss_legendre_01,
@@ -121,19 +120,19 @@ class TestLinearMoments:
         for d in (1, 3, 5):
             path = sampling.random_linear_path(rng, d)
             ms = [0, 2, 3, 6, 9]
-            batched = eta_moments_linear(path, ms)
-            assert sorted(batched) == ms
+            batched = shift.mode_integrals(path, [m + 1 for m in ms])
+            assert sorted(batched) == [m + 1 for m in ms]
             for m in ms:
                 single = eta_moment_linear(path, m)
-                assert abs(batched[m] - single) <= 1e-13 * (1.0 + abs(single))
-        assert eta_moments_linear(path, []) == {}
+                assert abs(batched[m + 1] - single) <= 1e-13 * (1.0 + abs(single))
+        assert shift.mode_integrals(path, []) == {}
 
     def test_batched_moments_refuse_bad_input(self):
         with pytest.raises(ValueError):
-            eta_moments_linear(scalar_linear(0.0, 0.5), [0, -1])
+            shift.mode_integrals(scalar_linear(0.0, 0.5), [1, 0])
         mult = PerturbationPath.multiplicative(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
-            eta_moments_linear(mult, [0])
+            eta_moment_linear(mult, 0)
 
 
 class TestPointwiseLinear:
@@ -160,7 +159,7 @@ class TestPointwiseLinear:
             path = sampling.random_linear_path(rng, d)
             step = shift_step_representation(path, max_power=7, degree=9)
             for m in range(7):
-                assert abs(step.contour_moment(m) - eta_moment_linear(path, m)) < 1e-6
+                assert abs(1j * step.time_fourier(m + 1) - eta_moment_linear(path, m)) < 1e-6
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 6), n=st.integers(1, 36))
@@ -169,19 +168,19 @@ class TestPointwiseLinear:
         # have degree m + 1 <= N: (N + 2) // 2 nodes integrate them exactly
         path = sampling.random_linear_path(np.random.default_rng(seed), dim)
         step = shift_step_representation(path, max_power=n, degree=n)
-        for m, want in eta_moments_linear(path, range(n)).items():
-            assert abs(step.contour_moment(m) - want) <= 1e-10 * (1.0 + abs(want))
+        for r, want in shift.mode_integrals(path, range(1, n + 1)).items():
+            assert abs(1j * step.time_fourier(r) - want) <= 1e-10 * (1.0 + abs(want))
 
     @pytest.mark.parametrize("dim,n", [(2, 4), (3, 8)])
     def test_one_node_fewer_misses_a_moment(self, monkeypatch, dim, n):
         # the derived count is tight: (N + 2) // 2 - 1 nodes integrate the
         # top moments' s-integrands only approximately
         path = sampling.random_linear_path(np.random.default_rng(dim * 100 + n), dim)
-        ref = eta_moments_linear(path, range(n))
+        ref = shift.mode_integrals(path, range(1, n + 1))
         fewer = shift.gauss_legendre_01((n + 2) // 2 - 1)
         monkeypatch.setattr(shift, "gauss_legendre_01", lambda count: fewer)
         step = shift_step_representation(path, max_power=n, degree=n)
-        gap = max(abs(step.contour_moment(m) - ref[m]) / (1.0 + abs(ref[m])) for m in ref)
+        gap = max(abs(1j * step.time_fourier(r) - ref[r]) / (1.0 + abs(ref[r])) for r in ref)
         assert gap > 1e-9
 
     def test_node_count_follows_the_path(self, monkeypatch):
@@ -419,10 +418,11 @@ class TestModeIntegrals:
             path = sampling.random_multiplicative_path(rng, dim)
         e = shift.mode_integrals(path, rs)
         assert sorted(e) == sorted(rs)
-        # the readers are e itself: c_m = e_(m+1), d_r = e_r / i, bit for bit
+        # the readers are e itself, bit for bit: c_m = e_(m+1) one mode at a
+        # time, d_r = e_r / i over the same modes
         if linear:
-            c = eta_moments_linear(path, [r - 1 for r in rs])
-            assert all(c[r - 1] == e[r] for r in rs)
+            c = {r: eta_moment_linear(path, r - 1) for r in rs}
+            assert all(c[r] == shift.mode_integrals(path, [r])[r] for r in rs)
         else:
             d = eta_tilde_moments_mult(path, rs)
             assert all(d[r] == e[r] / 1j for r in rs)
@@ -595,7 +595,7 @@ class TestGammaPipeline:
         rng = np.random.default_rng(22)
         u0 = cayley_sa(sampling.random_hermitian(rng, 3))
         path = PerturbationPath.linear(u0, np.zeros((3, 3)))
-        line = gamma_pipeline(path, grid=512, max_power=4)
+        line = gamma_pipeline(path, 6, grid=512)
         t = np.linspace(0, 2 * np.pi, 7)
         assert np.allclose(line.step(t), 0)
         assert np.allclose(line.eta_tilde(t), 0, atol=1e-12)
@@ -618,12 +618,18 @@ class TestGammaPipeline:
         rng = np.random.default_rng(24)
         path = self._unitary_path(rng, 2)
         with pytest.raises(ValueError):
-            gamma_pipeline(path, grid=64, max_power=3)
+            gamma_pipeline(path, 5, grid=64)
+
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_degree_below_one_rejected(self, degree):
+        path = self._unitary_path(np.random.default_rng(24), 2)
+        with pytest.raises(ValueError, match="at least 1"):
+            gamma_pipeline(path, degree, grid=512)
 
     def test_mean_mode_matches_grid_estimate(self):
         rng = np.random.default_rng(25)
         path = self._unitary_path(rng, 3)
-        line = gamma_pipeline(path, grid=4096, max_power=5)
+        line = gamma_pipeline(path, 7, grid=4096)
         assert line.diagnostics["mean_mode_grid_gap"] < 1e-2
         assert (
             line.diagnostics["zero_integral_grid"]
@@ -634,7 +640,7 @@ class TestGammaPipeline:
         rng = np.random.default_rng(26)
         path = self._unitary_path(rng, 3)
         phi = sampling.random_analytic_polynomial(rng, 5)
-        line = gamma_pipeline(path, grid=1024, max_power=5)
+        line = gamma_pipeline(path, 7, grid=1024)
         lhs = path.second_order_trace(phi)
         assert abs(line.pairing_second_derivative(phi) - lhs) < 1e-9
 
@@ -642,7 +648,7 @@ class TestGammaPipeline:
         rng = np.random.default_rng(27)
         path = self._unitary_path(rng, 4)
         phi = sampling.random_analytic_polynomial(rng, 4)
-        line = gamma_pipeline(path, grid=1024, max_power=4)
+        line = gamma_pipeline(path, 6, grid=1024)
         a = line.pairing_second_derivative(phi)
         b = line.pairing_realline(mobius_polynomial_flux(phi))
         assert abs(a - b) < 1e-9
@@ -655,7 +661,7 @@ class TestGammaPipeline:
             else:
                 t, t0 = (cayley_dissipative(sampling.random_dissipative(rng, d)) for _ in range(2))
                 path = PerturbationPath.linear(t0, t - t0)
-            line = gamma_pipeline(path, grid=1024, max_power=6)
+            line = gamma_pipeline(path, 8, grid=1024)
             phi = sampling.random_analytic_polynomial(rng, 5)
             pairs = [(mobius_polynomial_flux(phi), mobius_polynomial_weight(phi))]
             pairs += [(resolvent_flux(z), resolvent_weight(z)) for z in (-2j, 1 - 2j)]
@@ -686,7 +692,7 @@ class TestGammaPipeline:
         # a quarter of the eta~ mass, finite on the compact grid
         rng = np.random.default_rng(28)
         path = self._unitary_path(rng, 3)
-        line = gamma_pipeline(path, grid=2048, max_power=4)
+        line = gamma_pipeline(path, 6, grid=2048)
         assert np.isfinite(abs(line.eta_tilde(0.0)))
         assert np.isfinite(abs(line.eta_tilde(2 * np.pi)))
         # continuity across the wrap: the jump mass of eta sums to zero

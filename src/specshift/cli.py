@@ -173,7 +173,7 @@ def _trial_transform(cfg: CampaignConfig, i: int) -> VerificationReport:
     deg = max(_pick(rng, cfg.degrees), 2)
     phi = sampling.random_analytic_polynomial(rng, deg)
     verify = verify_selfadjoint_formula if cfg.kind == "cayley_sa" else verify_dissipative_formula
-    return verify(pair, phi, grid=cfg.grid, seed=i)
+    return verify(pair, phi, seed=i)
 
 
 def _trial_dilation(cfg: CampaignConfig, i: int) -> VerificationReport:
@@ -333,9 +333,7 @@ def emit_shift_samples(cfg: CampaignConfig) -> Path:
         path = _sample_pair(rng, cfg.kind, dim, cfg.zero_direction).circle_path()
         line = gamma_pipeline(path, max_deg + DEGREE_MARGIN, grid=cfg.grid)
         step = line.step
-        t = (np.arange(cfg.grid) + 0.5) * (2.0 * np.pi / cfg.grid)
-        lam = np.tan(0.5 * t)
-        vals = 0.5 * line.eta_tilde(t)
+        lam, vals = line.samples()
         header = ("lambda", "re_xi", "im_xi")
         cols = (lam, vals.real, vals.imag)
     _check_step(cfg, path, step, max_deg)
@@ -414,7 +412,7 @@ _FLAGS = {
     "dims": ("verify eta diagnose", {"type": _int_list, "help": "comma-separated dimensions"}),
     "degrees": ("verify eta diagnose", {"type": _int_list,
                                         "help": "comma-separated polynomial degrees"}),
-    "grid": ("verify eta", {"type": int}),
+    "grid": ("eta", {"type": int, "help": "sample count"}),
     "out": ("verify eta diagnose report", {"help": "output directory"}),
     "workers": ("verify", {"type": int, "help": "trial threads; same trial order and output "
                            "bytes, but no faster: the numpy-bound trials hold the GIL"}),

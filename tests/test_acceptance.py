@@ -209,7 +209,7 @@ def test_criterion_07_cayley_suite():
             sampling.random_hermitian(rng, d), sampling.random_hermitian(rng, d)
         )
         phi = sampling.random_analytic_polynomial(rng, int(rng.integers(2, 6)))
-        rep = verify_selfadjoint_formula(pair, phi, grid=4096)
+        rep = verify_selfadjoint_formula(pair, phi)
         worst_a = max(worst_a, rep.residual)
         worst_ab = max(worst_ab, rep.extras["residual_circle_vs_realline"])
     res_pair = SelfAdjointPair(

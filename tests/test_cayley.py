@@ -179,7 +179,7 @@ class TestSelfAdjointFormula:
         rng = np.random.default_rng(8)
         h = sampling.random_hermitian(rng, 3)
         pair = SelfAdjointPair(h, h)
-        rep = verify_selfadjoint_formula(pair, TrigPolynomial({2: 1.0, 4: 0.5}), grid=512)
+        rep = verify_selfadjoint_formula(pair, TrigPolynomial({2: 1.0, 4: 0.5}))
         assert abs(rep.lhs) < 1e-12
         assert abs(rep.rhs) < 1e-12
         assert rep.passed
@@ -189,7 +189,7 @@ class TestSelfAdjointFormula:
         pair = SelfAdjointPair(
             sampling.random_hermitian(rng, 3), sampling.random_hermitian(rng, 3)
         )
-        rep = verify_selfadjoint_formula(pair, TrigPolynomial({1: 1.0}), grid=512)
+        rep = verify_selfadjoint_formula(pair, TrigPolynomial({1: 1.0}))
         assert abs(rep.lhs) < 1e-12 and abs(rep.rhs) < 1e-12 and rep.passed
 
     def test_random_pairs_both_routes(self):
@@ -213,23 +213,24 @@ class TestSelfAdjointFormula:
         else:
             pair = DissipativePair(sampling.random_dissipative(rng, 3), sampling.random_dissipative(rng, 3))
         phi = TrigPolynomial({2: 1.0, 3: 0.5})
-        assert verify(pair, phi, grid=512).passed
+        assert verify(pair, phi).passed
         with monkeypatch.context() as patch:
             patch.setattr(cayley, "CIRCLE_TOL", 1e-30)
-            tight_circle = verify(pair, phi, grid=512)
+            tight_circle = verify(pair, phi)
         assert not tight_circle.passed and tight_circle.tol == 1e-30
         with monkeypatch.context() as patch:
             patch.setattr(cayley, "REAL_LINE_TOL", 1e-30)
-            tight_line = verify(pair, phi, grid=512)
+            tight_line = verify(pair, phi)
         assert not tight_line.passed and tight_line.extras["realline_tol"] == 1e-30
 
     def test_degree_beyond_an_eighth_of_the_grid(self):
-        # both pairings are exact sums over the jumps: the grid bounds no degree
+        # both pairings are exact sums over the jumps: the verdict takes no
+        # grid, and its degree may pass an eighth of the smallest one (256)
         rng = np.random.default_rng(11)
         pair = SelfAdjointPair(
             sampling.random_hermitian(rng, 2), sampling.random_hermitian(rng, 2)
         )
-        report = verify_selfadjoint_formula(pair, TrigPolynomial({40: 1.0}), grid=256)
+        report = verify_selfadjoint_formula(pair, TrigPolynomial({40: 1.0}))
         assert report.passed and report.degree == 40
 
 
@@ -263,7 +264,7 @@ class TestVerdictDegree:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(shift, "semispectral_cdfs", spy)
-            rep = verify(pair, phi, grid=512)
+            rep = verify(pair, phi)
         n = max(phi.max_index - 1, 1)
         assert stacks == [(1 + (n + 2) // 2, (n + 1) * dim)]
         scale = 1.0 + abs(rep.lhs)
@@ -384,7 +385,7 @@ class TestDissipativeFormula:
         rng = np.random.default_rng(16)
         l = sampling.random_dissipative(rng, 3)
         pair = DissipativePair(l, l)
-        rep = verify_dissipative_formula(pair, TrigPolynomial({3: 1.0}), grid=512)
+        rep = verify_dissipative_formula(pair, TrigPolynomial({3: 1.0}))
         assert abs(rep.lhs) < 1e-12 and rep.passed
 
     def test_hermitian_limit_matches_selfadjoint_pipeline(self):
@@ -396,8 +397,8 @@ class TestDissipativeFormula:
             if min(np.abs(np.linalg.eigvalsh(h)).min(), np.abs(np.linalg.eigvalsh(h0)).min()) < 1e-3:
                 continue
             phi = sampling.random_analytic_polynomial(rng, 4)
-            rep_diss = verify_dissipative_formula(DissipativePair(h, h0), phi, grid=1024)
-            rep_sa = verify_selfadjoint_formula(SelfAdjointPair(h, h0), phi, grid=1024)
+            rep_diss = verify_dissipative_formula(DissipativePair(h, h0), phi)
+            rep_sa = verify_selfadjoint_formula(SelfAdjointPair(h, h0), phi)
             assert abs(rep_diss.lhs - rep_sa.lhs) <= 1e-8
             assert abs(rep_diss.rhs - rep_sa.rhs) <= 1e-8
 
@@ -415,5 +416,5 @@ class TestDissipativeFormula:
 
     def test_scalar_strictly_dissipative_runs(self):
         pair = DissipativePair(np.array([[1j]]), np.array([[0.5 + 1j]]))
-        rep = verify_dissipative_formula(pair, TrigPolynomial({2: 1.0}), grid=512)
+        rep = verify_dissipative_formula(pair, TrigPolynomial({2: 1.0}))
         assert rep.passed

@@ -35,7 +35,7 @@ class TestConfig:
         import argparse
 
         args = argparse.Namespace(command="verify", config=str(cfg_file), kind=None, seed=11,
-                                  trials=None, grid=None, out=None, workers=None, dims=None,
+                                  trials=None, out=None, workers=None, dims=None,
                                   degrees=None, zero_direction=False)
         cfg = CampaignConfig.from_sources(args)
         assert cfg.kind == "mult" and cfg.trials == 3 and cfg.seed == 11
@@ -51,7 +51,12 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "command,data",
-        [("eta", {"trials": 3}), ("diagnose", {"kind": "mult"}), ("report", {"kind": "mult"})],
+        [
+            ("eta", {"trials": 3}),
+            ("diagnose", {"kind": "mult"}),
+            ("report", {"kind": "mult"}),
+            ("verify", {"grid": 512}),
+        ],
     )
     def test_a_key_the_command_ignores_exits_two_with_one_line(
         self, tmp_path, capsys, command, data
@@ -72,7 +77,7 @@ class TestTypedConfig:
             {"trials": "5"},
             {"dims": 4},
             {"dims": [2, "3"]},
-            {"grid": 4096.5},
+            {"grid": 4096.5},  # verify reads no grid; eta's checks are tested below
             {"zero_direction": "yes"},
             {"seed": -1},
             {"kind": ["linear"]},
@@ -93,6 +98,16 @@ class TestTypedConfig:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("grid", [4096.5, 128, "512"])
+    def test_bad_eta_grid_exits_two_with_one_line(self, tmp_path, capsys, grid):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"grid": grid}))
+        code = main(["eta", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("invalid configuration: grid") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
 
@@ -123,6 +138,7 @@ class TestFlags:
         [
             (command, flag)
             for command, flags in {
+                "verify": ("--grid 512",),
                 "eta": ("--trials 3", "--workers 2"),
                 "diagnose": ("--kind linear", "--trials 3", "--grid 512", "--workers 2"),
                 "report": ("--seed 1", "--kind linear", "--trials 3", "--dims 2", "--degrees 3",
@@ -172,8 +188,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
     def test_transform_degree_beyond_an_eighth_of_the_grid_exits_zero(self, kind, tmp_path):
-        code = main(["verify", "--kind", kind, "--degrees", "33", "--grid", "256",
-                     "--trials", "1", "--out", str(tmp_path / "o")])
+        code = main(["verify", "--kind", kind, "--degrees", "33", "--trials", "1",
+                     "--out", str(tmp_path / "o")])
         assert code == 0
 
     def test_failing_campaign_exits_one(self, tmp_path, monkeypatch):
@@ -261,10 +277,19 @@ class TestCampaigns:
 
     @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
     def test_transform_campaigns(self, kind, tmp_path):
-        cfg = CampaignConfig(kind=kind, trials=2, seed=8, grid=512,
-                             dims=[2, 3], out=str(tmp_path / "o"))
+        cfg = CampaignConfig(kind=kind, trials=2, seed=8, dims=[2, 3], out=str(tmp_path / "o"))
         status, reports = run_campaign(cfg)
         assert status == 0 and all(r.passed for r in reports)
+
+    @pytest.mark.parametrize("kind", ["cayley_sa", "cayley_diss"])
+    def test_transform_reports_carry_exactly_the_realline_extras(self, kind, tmp_path):
+        # perfbench/tracing.py reads residual_circle_vs_realline and realline_tol
+        cfg = CampaignConfig(kind=kind, trials=2, seed=8, dims=[2, 3], out=str(tmp_path / "o"))
+        run_campaign(cfg)
+        entries = json.loads((tmp_path / "o" / "reports.json").read_text())
+        assert [set(e["extras"]) for e in entries] == [
+            {"rhs_realline", "residual_circle_vs_realline", "realline_tol"}
+        ] * 2
 
 
 class TestEmission:

@@ -85,10 +85,13 @@ def snapped(phi):
 
 def clear_of_knife_edges(phis):
     # distinct eigenvalues closer than 1e-3 have ill-determined separate
-    # projections, and ones near CLUSTER_TOL apart cluster by rounding
+    # projections, ones near CLUSTER_TOL apart cluster by rounding, and an
+    # angle near CLUSTER_TOL from 0 mod 2pi snaps onto 2pi by rounding
+    raw = np.mod(phis, TWO_PI)
+    edge = np.abs(np.minimum(raw, TWO_PI - raw) - CLUSTER_TOL) < 0.5 * CLUSTER_TOL
     a = np.sort([snapped(phi) for phi in phis])
     gaps = np.diff(np.append(a, a[0] + TWO_PI))
-    return not np.any((gaps > 0.5 * CLUSTER_TOL) & (gaps < 1e-3))
+    return not (edge.any() or np.any((gaps > 0.5 * CLUSTER_TOL) & (gaps < 1e-3)))
 
 
 def unitary_with_angles(seed, phis):
@@ -114,6 +117,16 @@ SEED = st.integers(0, 2**32 - 1)
 
 
 class TestUnitaryAgainstSchur:
+    def test_knife_edge_filter_rejects_angles_at_the_snap_band_edge(self):
+        # draws at which the code and the oracle may each snap or not, both correctly
+        assert not clear_of_knife_edges([1e-9, 1e-9])
+        assert not clear_of_knife_edges([3.641592653589793, 1e-9])
+        assert not clear_of_knife_edges([1.0, TWO_PI - CLUSTER_TOL])
+        # angles well inside the band, or well outside it, stay
+        assert clear_of_knife_edges([0.4 * CLUSTER_TOL, 3.0])
+        assert clear_of_knife_edges([TWO_PI - 0.3 * CLUSTER_TOL, 3.0])
+        assert clear_of_knife_edges([1.0, 3.0])
+
     @settings(max_examples=60, deadline=None)
     @given(seed=SEED, phis=st.lists(ANGLE, min_size=1, max_size=7))
     def test_angles_blocks_and_moments(self, seed, phis):

@@ -583,6 +583,33 @@ class TestStepFunction:
         assert step(1.5) == pytest.approx(1.0)
         assert step(2.5) == pytest.approx(0.5)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        jumps=st.lists(
+            st.tuples(
+                st.one_of(st.just(2.0 * np.pi), st.floats(0.0, 2.0 * np.pi)),
+                st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        g=st.integers(256, 4096),
+    )
+    def test_midpoint_sums_meet_time_fourier_within_the_variation_bound(self, jumps, g):
+        # the g-point midpoint sum of e^{ikt} f(t) misses the exact integral by
+        # one partial cell per jump plus the midpoint error of e^{ikt} on the
+        # whole cells: at most TV h (1 + pi^2 k^2 / (6 g)), h = 2pi / g,
+        # TV = sum |h_j|; a jump at 2pi is never reached by f on [0, 2pi)
+        step = StepFunction(*zip(*jumps))
+        h = 2.0 * np.pi / g
+        t = (np.arange(g) + 0.5) * h
+        values = step(t)
+        tv = np.abs(step.heights).sum()
+        for k in range(-3, 4):
+            midpoint = h * np.sum(np.exp(1j * k * t) * values)
+            bound = tv * h * (1.0 + np.pi**2 * k**2 / (6.0 * g))
+            assert abs(midpoint - step.time_fourier(k)) <= bound, k
+
 
 class TestGammaPipeline:
     def _unitary_path(self, rng, dim):
@@ -605,14 +632,24 @@ class TestGammaPipeline:
 
     def test_constant_eta_synthetic(self):
         # eta == kappa on (0, 2pi] makes the analytic correction vanish and
-        # eta~ constant equal to -i kappa; the full-period zero integral holds
+        # eta~ constant equal to -i kappa
         kappa = 0.8 - 0.3j
         step = StepFunction([1e-9], [kappa])
         line = RealLineShift(step, grid=512)
         assert abs(line.mean_mode) < 1e-9
         for t in (0.3, 1.0, 4.0, 6.0):
             assert abs(line.eta_tilde(t) - (-1j * kappa)) < 1e-7
-        assert line.diagnostics["zero_integral_grid"] <= 10 * line.diagnostics["zero_integral_tol"]
+
+    def test_samples_are_xi_at_the_midpoint_angles(self):
+        # lam = tan(t/2) at the grid midpoints t, and xi(lam) = eta~(2 arctan lam) / 2
+        step = StepFunction([0.4, 2.5, np.pi, 5.0], [0.3 + 0.1j, -0.7, 0.5 - 0.2j, -0.1 - 0.1j])
+        line = RealLineShift(step, grid=256)
+        lam, xi = line.samples()
+        t = (np.arange(256) + 0.5) * (2 * np.pi / 256)
+        assert lam.shape == xi.shape == (256,)
+        assert np.allclose(lam, np.tan(0.5 * t), rtol=1e-14, atol=0)
+        pulled = np.mod(2 * np.arctan(lam), 2 * np.pi)
+        assert np.allclose(xi, 0.5 * line.eta_tilde(pulled), rtol=0, atol=1e-12)
 
     def test_grid_minimum(self):
         rng = np.random.default_rng(24)
@@ -625,16 +662,6 @@ class TestGammaPipeline:
         path = self._unitary_path(np.random.default_rng(24), 2)
         with pytest.raises(ValueError, match="at least 1"):
             gamma_pipeline(path, degree, grid=512)
-
-    def test_mean_mode_matches_grid_estimate(self):
-        rng = np.random.default_rng(25)
-        path = self._unitary_path(rng, 3)
-        line = gamma_pipeline(path, 7, grid=4096)
-        assert line.diagnostics["mean_mode_grid_gap"] < 1e-2
-        assert (
-            line.diagnostics["zero_integral_grid"]
-            <= 10 * line.diagnostics["zero_integral_tol"]
-        )
 
     def test_circle_pairing_matches_trace_formula(self):
         rng = np.random.default_rng(26)
@@ -701,19 +728,3 @@ class TestGammaPipeline:
         xi = 0.5 * line.eta_tilde(np.mod(2 * np.arctan(lam), 2 * np.pi))
         vals = np.abs(xi) / (1 + lam**2)
         assert np.isfinite(vals).all()
-
-    def test_inconsistent_mean_mode_raises(self, monkeypatch):
-        # corrupting the analytic-correction coefficient must trip the
-        # grid zero-integral guard
-        from specshift.shift import PipelineError
-
-        step = StepFunction([1.0, 4.0], [0.5, -0.5])
-        real_fourier = StepFunction.time_fourier
-
-        def corrupted(self, k):
-            value = real_fourier(self, k)
-            return value + 5.0 if k == -1 else value
-
-        monkeypatch.setattr(StepFunction, "time_fourier", corrupted)
-        with pytest.raises(PipelineError):
-            RealLineShift(step, grid=512)
